@@ -21,7 +21,7 @@ import numpy as np
 from . import data as data_mod
 from . import diagnostics
 from .losses import LossKind, outer_value
-from .model import NetworkShape, forward_batch, init_params, inner_eval
+from .model import NetworkShape, init_params, inner_eval, predict
 from .solvers import FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from .subsolvers import AdmmConfig
 
@@ -35,8 +35,6 @@ def _f17(x: float) -> float:
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--loss", choices=[k.value for k in LossKind], default="quadratic")
-    p.add_argument("--solver", choices=["lpa", "glpa", "sgdm", "rmsprop", "adam"],
-                   default="lpa")
     p.add_argument("--q", type=int, default=None,
                    help="hidden neurons (default: adaptive size from m and d)")
     p.add_argument("--t", type=float, default=1e5)
@@ -79,6 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--task", choices=["franke", "digits", "custom-csv"],
                        required=True)
     _add_common_flags(p_run)
+    p_run.add_argument("--solver", choices=["lpa", "glpa", "sgdm", "rmsprop", "adam"],
+                       default="lpa")
     p_run.add_argument("--save-model", action="store_true",
                        help="also write model.csv with the final parameters")
 
@@ -182,8 +182,8 @@ def _metrics(theta, shape, loss, train, test):
             "training_size": train.m,
             "test_size": test.m,
         }
-    pred_tr = forward_batch(theta, shape, train.inputs)
-    pred_te = forward_batch(theta, shape, test.inputs)
+    pred_tr = predict(theta, shape, train.inputs)
+    pred_te = predict(theta, shape, test.inputs)
     return {
         "train_rms_error": _f17(diagnostics.rms_error(pred_tr, train.targets)),
         "train_max_error": _f17(diagnostics.max_error(pred_tr, train.targets)),
@@ -218,7 +218,8 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_trace(report, out / "trace.csv")
 
-    ev = inner_eval(report.theta_star, shape, train.inputs, train.targets, loss)
+    ev = inner_eval(report.theta_star, shape, train.inputs, train.targets, loss,
+                    jacobian=True)
     rank, full_row_rank = diagnostics.jacobian_rank(ev.J)
     summary = {
         "schema_version": SCHEMA_VERSION,

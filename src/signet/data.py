@@ -144,7 +144,7 @@ def load_digits_csv(path=None) -> list[tuple[np.ndarray, int]]:
                 label = int(row[64])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: unparsable value ({exc})") from exc
-            if np.any(pixels < 0) or np.any(pixels > 16):
+            if not np.all((pixels >= 0) & (pixels <= 16)):     # also rejects NaN
                 raise DataError(f"{path}:{lineno}: pixel value outside [0, 16]")
             if not 0 <= label <= 9:
                 raise DataError(f"{path}:{lineno}: label {label} outside 0..9")
@@ -191,7 +191,8 @@ def save_dataset_csv(ds: Dataset, path) -> None:
 
 
 def load_dataset_csv(path, task: TaskKind = TaskKind.REGRESSION) -> Dataset:
-    """Read a dataset written by save_dataset_csv."""
+    """Read a dataset written by save_dataset_csv; every cell must be a
+    finite number."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
@@ -205,6 +206,12 @@ def load_dataset_csv(path, task: TaskKind = TaskKind.REGRESSION) -> Dataset:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
                 raise DataError(f"{path}:{lineno}: expected {d + 1} columns")
-            rows.append([float(v) for v in row[:d]])
-            targets.append(float(row[d]))
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: unparsable value ({exc})") from exc
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path}:{lineno}: non-finite value")
+            rows.append(values[:d])
+            targets.append(values[d])
     return Dataset(np.array(rows), np.array(targets), task)

@@ -7,8 +7,7 @@ import math
 import numpy as np
 
 from .data import Dataset, TaskKind
-from .losses import LossKind
-from .model import NetworkShape, forward_batch, inner_eval
+from .model import NetworkShape, predict
 
 
 def rms_error(pred, actual) -> float:
@@ -33,7 +32,7 @@ def classification_errors(theta, shape: NetworkShape, data: Dataset) -> int:
     error for either label."""
     if data.task is not TaskKind.BINARY:
         raise ValueError("classification_errors needs a binary dataset")
-    preds = forward_batch(theta, shape, data.inputs)
+    preds = predict(theta, shape, data.inputs)
     return int(np.sum(np.sign(preds) != data.targets))
 
 
@@ -56,18 +55,3 @@ def adaptive_network_size(m: int, d: int) -> int:
         raise ValueError(f"need m, d >= 1, got m={m}, d={d}")
     return max(1, math.ceil((m - 1) / (d + 2)))
 
-
-def finite_diff_jacobian(theta, shape: NetworkShape, inputs, targets,
-                         loss: LossKind, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of the residual map, column by column."""
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
-    theta = np.asarray(theta, dtype=float)
-    cols = []
-    for j in range(theta.size):
-        e = np.zeros_like(theta)
-        e[j] = h
-        Fp = inner_eval(theta + e, shape, inputs, targets, loss).F
-        Fm = inner_eval(theta - e, shape, inputs, targets, loss).F
-        cols.append((Fp - Fm) / (2.0 * h))
-    return np.column_stack(cols)

@@ -36,6 +36,20 @@ def outer_value(z: np.ndarray, loss: LossKind) -> float:
     raise ValueError(f"unknown loss {loss!r}")
 
 
+def outer_gradient(z: np.ndarray, loss: LossKind) -> np.ndarray:
+    """A (sub)gradient of outer_value at z: 2 z_i / m, sign(z_i) / m, or
+    -[z_i < 1] / m for the hinge."""
+    z = np.asarray(z, dtype=float)
+    m = z.shape[0]
+    if loss is LossKind.QUADRATIC:
+        return 2.0 * z / m
+    if loss is LossKind.ABSOLUTE:
+        return np.sign(z) / m
+    if loss is LossKind.HINGE:
+        return -(z < 1.0).astype(float) / m
+    raise ValueError(f"unknown loss {loss!r}")
+
+
 def prox(a, kappa: float, loss: LossKind):
     """Scalar proximity operator argmin_mu kappa*L(mu) + (mu-a)^2/2.
 
@@ -55,20 +69,6 @@ def prox(a, kappa: float, loss: LossKind):
     else:
         raise ValueError(f"prox not defined for {loss!r} (quadratic subproblems "
                          "use the closed-form regularized least-squares step)")
-    return out if out.ndim else float(out)
-
-
-def scalar_loss(mu, loss: LossKind):
-    """The scalar convex function the separable outer loss is built from."""
-    mu = np.asarray(mu, dtype=float)
-    if loss is LossKind.QUADRATIC:
-        out = mu ** 2
-    elif loss is LossKind.ABSOLUTE:
-        out = np.abs(mu)
-    elif loss is LossKind.HINGE:
-        out = np.maximum(1.0 - mu, 0.0)
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
     return out if out.ndim else float(out)
 
 

@@ -1,5 +1,5 @@
-"""Three-layer sigmoid network: forward map, analytic gradient, and the
-per-sample residual map with its Jacobian.
+"""Three-layer sigmoid network: predictions, the per-sample residual map F
+with its Jacobian J, and products J^T r, all from one hidden-layer pass.
 
 Parameter layout is fixed as [w (q) | v (q*d, neuron-major) | u (q) | w0],
 so a parameter vector is a flat float array of length (d+2)*q + 1.
@@ -7,7 +7,7 @@ so a parameter vector is a flat float array of length (d+2)*q + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,32 +36,48 @@ class NetworkShape:
 
 @dataclass(frozen=True)
 class ResidualEval:
-    """Residual vector F (length m) and its Jacobian J (m x n)."""
+    """Residual vector F (length m) and, when it was asked for, its Jacobian
+    J (m x n). An evaluation from inner_eval also keeps its hidden-layer
+    pass (X, w, S, sign), from which jtr forms J^T r."""
 
     F: np.ndarray
-    J: np.ndarray
+    J: np.ndarray | None = None
+    hidden: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.F.ndim != 1 or self.J.ndim != 2 or self.J.shape[0] != self.F.shape[0]:
+        # without a Jacobian, F alone is checked
+        J = self.F.reshape(-1, 1) if self.J is None else self.J
+        if self.F.ndim != 1 or J.ndim != 2 or J.shape[0] != self.F.shape[0]:
             raise DimensionError(
-                f"inconsistent residual shapes F={self.F.shape}, J={self.J.shape}"
-            )
-        if not (np.all(np.isfinite(self.F)) and np.all(np.isfinite(self.J))):
+                f"inconsistent residual shapes F={self.F.shape}, J={J.shape}")
+        if not (np.all(np.isfinite(self.F)) and np.all(np.isfinite(J))):
             raise FloatingPointError("non-finite entries in residual evaluation")
 
     @property
     def m(self) -> int:
         return self.F.shape[0]
 
+    def jtr(self, r: np.ndarray) -> np.ndarray:
+        """J^T r, formed in O(m*q*d) from the hidden-layer activations
+        without building J."""
+        if self.hidden is None:
+            raise ValueError("jtr needs an evaluation made by inner_eval")
+        X, w, S, sign = self.hidden
+        if sign is not None:
+            r = sign * r
+        Spr = S * (1.0 - S) * r[:, None]      # sigmoid'(A) scaled by r
+        return np.concatenate([r @ S, (w[:, None] * (Spr.T @ X)).ravel(),
+                               w * Spr.sum(axis=0), [r.sum()]])
+
 
 def sigmoid(a):
-    """Logistic function 1/(1+exp(-a)), overflow-safe for large |a|."""
+    """Logistic function 1/(1+exp(-a)), overflow-safe for large |a|: with
+    e = exp(-|a|), it is 1/(1+e) for a >= 0 and e/(1+e) otherwise."""
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
+    e = np.exp(-np.abs(a))
+    d = 1.0 + e
+    out = np.divide(1.0, d, out=np.empty_like(a))
+    np.divide(e, d, out=out, where=a < 0)
     return out if out.ndim else float(out)
 
 
@@ -101,57 +117,43 @@ def init_params(shape: NetworkShape, kind: str = "uniform", seed: int = 0,
     raise ValueError(f"unknown init kind {kind!r}")
 
 
-def _hidden(theta, shape, X):
-    """Pre-activations A (m x q) and activations S = sigmoid(A)."""
+def _hidden(theta, shape: NetworkShape, X, sign=None):
+    """The hidden-layer pass (X, w, S = sigmoid(X V^T + u), sign), where
+    sign scales the residual rows (the hinge labels) or is None, and the
+    network outputs S w + w0."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != shape.d:
+        raise DimensionError(f"inputs have shape {X.shape}, expected (m, {shape.d})")
     w, V, u, w0 = split_params(theta, shape)
-    A = X @ V.T + u
-    return w, w0, A, sigmoid(A)
+    S = sigmoid(X @ V.T + u)
+    return (X, w, S, sign), S @ w + w0
 
 
-def forward(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> float:
-    """Network output sum_i w_i * sigmoid(v_i . x + u_i) + w0 for one input."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (shape.d,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({shape.d},)")
-    return float(forward_batch(theta, shape, x[None, :])[0])
-
-
-def forward_batch(theta: np.ndarray, shape: NetworkShape, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != shape.d:
-        raise DimensionError(f"inputs have shape {X.shape}, expected (m, {shape.d})")
-    w, w0, _, S = _hidden(theta, shape, X)
-    return S @ w + w0
-
-
-def grad_forward(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> np.ndarray:
-    """Gradient of forward w.r.t. theta, packed in parameter layout order."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (shape.d,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({shape.d},)")
-    return jacobian_forward(theta, shape, x[None, :])[0]
-
-
-def jacobian_forward(theta: np.ndarray, shape: NetworkShape, X: np.ndarray) -> np.ndarray:
-    """Rows grad_forward(theta, x_i) for each input row; shape (m, n)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != shape.d:
-        raise DimensionError(f"inputs have shape {X.shape}, expected (m, {shape.d})")
-    w, w0, _, S = _hidden(theta, shape, X)
-    m, q, d = X.shape[0], shape.q, shape.d
+def _jacobian(h) -> np.ndarray:
+    """Jacobian of the residual map, rows grad f(x_i) scaled by the row
+    signs; shape (m, n) in parameter layout order."""
+    X, w, S, sign = h
+    (m, d), q = X.shape, w.shape[0]
     Sp = S * (1.0 - S)            # sigmoid'(A)
-    J = np.empty((m, shape.n))
+    J = np.empty((m, (d + 2) * q + 1))
     J[:, :q] = S
     # d f / d v_ij = w_i * sigmoid'(a_i) * x_j, neuron-major flattening
     J[:, q:q + q * d] = ((w * Sp)[:, :, None] * X[:, None, :]).reshape(m, q * d)
     J[:, q + q * d:q + q * d + q] = w * Sp
     J[:, -1] = 1.0
-    return J
+    return J if sign is None else sign[:, None] * J
+
+
+def predict(theta: np.ndarray, shape: NetworkShape, X: np.ndarray) -> np.ndarray:
+    """Network outputs sum_i w_i * sigmoid(v_i . x + u_i) + w0, one per input row."""
+    return _hidden(theta, shape, X)[1]
 
 
 def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
-               targets: np.ndarray, loss: LossKind) -> ResidualEval:
-    """Residual map and Jacobian for the given loss.
+               targets: np.ndarray, loss: LossKind,
+               jacobian: bool = False) -> ResidualEval:
+    """Residual map, and its Jacobian if `jacobian`, from one hidden-layer
+    pass.
 
     Quadratic/Absolute: F_i = f(x_i) - y_i. Hinge: F_i = y_i * f(x_i) with
     labels restricted to {-1, +1}; the label also scales the Jacobian row.
@@ -161,10 +163,9 @@ def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
     if targets.shape != (inputs.shape[0],):
         raise DimensionError(
             f"targets have shape {targets.shape}, expected ({inputs.shape[0]},)")
-    preds = forward_batch(theta, shape, inputs)
-    J = jacobian_forward(theta, shape, inputs)
-    if loss is LossKind.HINGE:
-        if not np.all(np.isin(targets, (-1.0, 1.0))):
-            raise ValueError("hinge targets must be in {-1, +1}")
-        return ResidualEval(F=targets * preds, J=targets[:, None] * J)
-    return ResidualEval(F=preds - targets, J=J)
+    hinge = loss is LossKind.HINGE
+    if hinge and not np.all(np.isin(targets, (-1.0, 1.0))):
+        raise ValueError("hinge targets must be in {-1, +1}")
+    h, preds = _hidden(theta, shape, inputs, targets if hinge else None)
+    F = targets * preds if hinge else preds - targets
+    return ResidualEval(F=F, J=_jacobian(h) if jacobian else None, hidden=h)

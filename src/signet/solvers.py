@@ -5,12 +5,13 @@ first-order baselines (SGDM, RMSProp, Adam) for comparison.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossKind, outer_value
+from .losses import LossKind, outer_gradient, outer_value
 from .model import NetworkShape, ResidualEval, inner_eval
 from .subsolvers import AdmmConfig, admm_solve, lm_step, subproblem_model_value
 
@@ -49,7 +50,7 @@ class FitReport:
     theta_star: np.ndarray
     trace: list[IterationRecord]
     converged: bool
-    stop_reason: str        # "step_tol" or "max_outer"
+    stop_reason: str        # "step_tol", "max_outer" or "line_search_failed"
     final_objective: float
 
 
@@ -68,20 +69,28 @@ def backtrack(theta_k, dtheta_k, ev_k: ResidualEval, loss: LossKind,
         outer(F(theta + eta*d)) - outer(F(theta))
             <= c * eta * (model(d) - outer(F(theta))),
 
-    where model(d) is the subproblem objective at d. Returns
-    (eta, trial_count, accepted); if no trial satisfies the rule the
-    smallest trial eta is returned with accepted=False.
+    where model(d) is the subproblem objective at d. A non-finite trial
+    objective or model value fails the rule. Returns (eta, trial_count,
+    accepted); if no trial satisfies the rule the smallest trial eta is
+    returned with accepted=False, or eta = 0.0 if the objective is
+    non-finite there too.
     """
     obj_k = outer_value(ev_k.F, loss)
     predicted = subproblem_model_value(ev_k, dtheta_k, cfg.t, ev_k.m, loss) - obj_k
     eta = 1.0
     for trial in range(1, cfg.max_backtracks + 1):
-        ev_trial = inner_eval(theta_k + eta * dtheta_k, shape, inputs, targets, loss)
-        if outer_value(ev_trial.F, loss) - obj_k <= cfg.c * eta * predicted:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                obj = outer_value(inner_eval(theta_k + eta * dtheta_k, shape,
+                                             inputs, targets, loss).F, loss)
+            except FloatingPointError:      # non-finite residuals
+                obj = math.inf
+        if (math.isfinite(obj) and math.isfinite(predicted)
+                and obj - obj_k <= cfg.c * eta * predicted):
             return eta, trial, True
         if trial < cfg.max_backtracks:
             eta *= cfg.tau
-    return eta, cfg.max_backtracks, False
+    return (eta if math.isfinite(obj) else 0.0), cfg.max_backtracks, False
 
 
 def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig,
@@ -99,7 +108,7 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
     converged = False
     stop_reason = "max_outer"
     for k in range(cfg.max_outer):
-        ev = inner_eval(theta, shape, inputs, targets, loss)
+        ev = inner_eval(theta, shape, inputs, targets, loss, jacobian=True)
         obj = outer_value(ev.F, loss)
         if not np.isfinite(obj):
             raise FloatingPointError(f"non-finite objective at iteration {k}")
@@ -112,11 +121,17 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
         else:
             eta, accepted = 1.0, True
         # The step that meets step_tol is the last one; it is taken only if
-        # it passes the line-search rule.
-        if accepted or not converged:
+        # it passes the line-search rule. A step with no finite trial point
+        # to fall back on (eta = 0.0) is never taken and ends the fit.
+        failed = eta == 0.0
+        if not failed and (accepted or not converged):
             theta = theta + eta * dtheta
         trace.append(IterationRecord(k, obj, step_norm, eta, admm_iters,
                                      time.perf_counter() - start, accepted))
+        if failed:
+            converged = False
+            stop_reason = "line_search_failed"
+            break
         if converged:
             stop_reason = "step_tol"
             break
@@ -140,25 +155,12 @@ def glpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitRepo
     return _fit(inputs, targets, shape, loss, cfg, theta0, line_search=True)
 
 
-def _objective_gradient(ev: ResidualEval, loss: LossKind) -> np.ndarray:
-    """Full-batch (sub)gradient of the training objective at the residuals."""
-    m = ev.m
-    if loss is LossKind.QUADRATIC:
-        gz = 2.0 * ev.F / m
-    elif loss is LossKind.ABSOLUTE:
-        gz = np.sign(ev.F) / m
-    elif loss is LossKind.HINGE:
-        gz = -(ev.F < 1.0).astype(float) / m
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-    return ev.J.T @ gz
-
-
 def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
                  optimizer: str, theta0, lr: float = 1e-3,
                  momentum: float = 0.9, iters: int = 1000) -> FitReport:
     """Full-batch SGDM / RMSProp / Adam on the training objective, using the
-    analytic (sub)gradient. Deterministic: no minibatch sampling."""
+    analytic (sub)gradient J^T outer_gradient(F), formed without building J.
+    Deterministic: no minibatch sampling."""
     if lr <= 0 or iters < 1:
         raise ValueError(f"invalid hyperparameters lr={lr}, iters={iters}")
     optimizer = optimizer.lower()
@@ -179,7 +181,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
     for k in range(iters):
         ev = inner_eval(theta, shape, inputs, targets, loss)
         obj = outer_value(ev.F, loss)
-        g = _objective_gradient(ev, loss)
+        g = ev.jtr(outer_gradient(ev.F, loss))
         if optimizer == "sgdm":
             vel = momentum * vel + g
             step = -lr * vel

@@ -22,10 +22,6 @@ class AdmmConfig:
     rho: float = 1e-2
     eps: float = 1e-2       # relative residual tolerance, see admm_solve
     max_iters: int = 20
-    # The dual residual is rho * J (dtheta^i - dtheta^{i-1}); set this flag
-    # to use rho * J^T (...) instead (the form standard ADMM theory gives
-    # for this splitting).
-    transposed_dual_residual: bool = False
 
     def validate(self):
         if self.rho <= 0 or self.eps <= 0 or self.max_iters < 1:
@@ -99,10 +95,7 @@ def admm_solve(ev: ResidualEval, t: float, m: int, loss: LossKind,
         Jd = J @ dtheta
         r = mu - F - Jd
         lam = lam + rho * r
-        if cfg.transposed_dual_residual:
-            s = rho * (J.T @ (J @ (dtheta - dtheta_prev)))
-        else:
-            s = rho * (J @ (dtheta - dtheta_prev))
+        s = rho * (J @ (dtheta - dtheta_prev))
         r_norm = float(np.linalg.norm(r))
         s_norm = float(np.linalg.norm(s))
         if not (np.isfinite(r_norm) and np.isfinite(s_norm)):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from signet.model import NetworkShape, init_params
+from signet.losses import LossKind
+from signet.model import NetworkShape, inner_eval
 
 
 @pytest.fixture
@@ -20,3 +21,30 @@ def random_instance(rng, d_max=5, q_max=8, m_max=12, theta_scale=2.0):
     y = rng.uniform(-1.0, 1.0, size=m)
     labels = rng.choice([-1.0, 1.0], size=m)
     return shape, theta, X, y, labels
+
+
+def finite_diff_jacobian(theta, shape, inputs, targets, loss, h=1e-5):
+    """Central-difference Jacobian of the residual map, column by column:
+    the oracle for the analytic Jacobian."""
+    if h <= 0:
+        raise ValueError(f"step h must be positive, got {h}")
+    theta = np.asarray(theta, dtype=float)
+    cols = []
+    for j in range(theta.size):
+        e = np.zeros_like(theta)
+        e[j] = h
+        Fp = inner_eval(theta + e, shape, inputs, targets, loss).F
+        Fm = inner_eval(theta - e, shape, inputs, targets, loss).F
+        cols.append((Fp - Fm) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def scalar_loss(mu, loss):
+    """The scalar convex function the separable outer loss is built from:
+    the oracle for outer_value, prox and the subproblem values."""
+    mu = np.asarray(mu, dtype=float)
+    if loss is LossKind.QUADRATIC:
+        return mu ** 2
+    if loss is LossKind.ABSOLUTE:
+        return np.abs(mu)
+    return np.maximum(1.0 - mu, 0.0)

@@ -14,15 +14,15 @@ import pytest
 from signet.data import (NoiseSpec, load_digits_csv, make_binary_task,
                          make_franke_datasets)
 from signet.diagnostics import (adaptive_network_size, classification_errors,
-                                finite_diff_jacobian, rms_error)
-from signet.losses import LossKind, outer_value, prox, scalar_loss
-from signet.model import (NetworkShape, ResidualEval, forward_batch,
-                          init_params, inner_eval)
+                                rms_error)
+from signet.losses import LossKind, outer_value, prox
+from signet.model import (NetworkShape, ResidualEval, init_params, inner_eval,
+                          predict)
 from signet.solvers import SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from signet.subsolvers import (AdmmConfig, admm_solve, lm_step,
                                subproblem_model_value)
 
-from conftest import random_instance
+from conftest import finite_diff_jacobian, random_instance, scalar_loss
 from test_losses import golden_section_prox
 
 
@@ -45,7 +45,7 @@ def test_criterion_1_franke_quadratic(franke):
     rep = lpa_fit(train.inputs, train.targets, shape, LossKind.QUADRATIC,
                   cfg, theta0)
     elapsed = time.perf_counter() - started
-    rms = rms_error(forward_batch(rep.theta_star, shape, test.inputs),
+    rms = rms_error(predict(rep.theta_star, shape, test.inputs),
                     test.targets)
     assert rep.final_objective <= 1e-4
     assert rms <= 1.5e-2
@@ -66,7 +66,7 @@ def franke_absolute_run(franke):
 
 def test_criterion_2_franke_absolute_test_rms(franke_absolute_run):
     shape, rep, test = franke_absolute_run
-    rms = rms_error(forward_batch(rep.theta_star, shape, test.inputs),
+    rms = rms_error(predict(rep.theta_star, shape, test.inputs),
                     test.targets)
     assert rms <= 5e-3
     assert all(rec.admm_iters <= 20 for rec in rep.trace)
@@ -138,7 +138,7 @@ def test_criterion_6a_jacobian_finite_differences():
         loss = [LossKind.QUADRATIC, LossKind.ABSOLUTE,
                 LossKind.HINGE][int(rng.integers(3))]
         targets = labels if loss is LossKind.HINGE else y
-        ev = inner_eval(theta, shape, X, targets, loss)
+        ev = inner_eval(theta, shape, X, targets, loss, jacobian=True)
         fd = finite_diff_jacobian(theta, shape, X, targets, loss)
         assert np.linalg.norm(ev.J - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
 

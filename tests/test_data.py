@@ -119,6 +119,10 @@ class TestDigits:
         bad_pixel.write_text(header + "\n" + ",".join(["17"] + ["1"] * 63 + ["3"]) + "\n")
         with pytest.raises(DataError):
             load_digits_csv(bad_pixel)
+        nan_pixel = tmp_path / "nan.csv"
+        nan_pixel.write_text(header + "\n" + ",".join(["nan"] + ["1"] * 63 + ["3"]) + "\n")
+        with pytest.raises(DataError, match="nan.csv:2: pixel value outside"):
+            load_digits_csv(nan_pixel)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -165,6 +169,22 @@ class TestCsvRoundTrip:
         back = load_dataset_csv(path)
         assert np.array_equal(back.inputs, ds.inputs)
         assert np.array_equal(back.targets, ds.targets)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x0,y\n0.5,1.0\n0.25,2.0\n{cell},3.0\n")
+        with pytest.raises(DataError, match=r"bad\.csv:4: non-finite"):
+            load_dataset_csv(bad)
+        bad.write_text(f"x0,y\n0.5,{cell}\n")
+        with pytest.raises(DataError, match=r"bad\.csv:2: non-finite"):
+            load_dataset_csv(bad)
+
+    def test_unparsable_cell_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,y\n0.5,1.0\nabc,3.0\n")
+        with pytest.raises(DataError, match=r"bad\.csv:3: unparsable"):
+            load_dataset_csv(bad)
 
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from signet.data import Dataset, TaskKind
 from signet.diagnostics import (adaptive_network_size, classification_errors,
-                                finite_diff_jacobian, jacobian_rank, max_error,
-                                rms_error)
+                                jacobian_rank, max_error, rms_error)
 from signet.losses import LossKind
 from signet.model import NetworkShape, inner_eval, pack_params
 
-from conftest import random_instance
+from conftest import finite_diff_jacobian, random_instance
 
 
 class TestErrors:
@@ -85,7 +84,8 @@ class TestJacobianRank:
         shape = NetworkShape(d=2, q=5)
         X = rng.uniform(0, 1, (6, 2))
         y = rng.normal(size=6)
-        ev = inner_eval(np.zeros(shape.n), shape, X, y, LossKind.QUADRATIC)
+        ev = inner_eval(np.zeros(shape.n), shape, X, y, LossKind.QUADRATIC,
+                        jacobian=True)
         rank, _ = jacobian_rank(ev.J)
         assert rank <= 2
 
@@ -128,14 +128,14 @@ class TestFiniteDiffJacobian:
     def test_linear_block_exact(self, rng):
         shape, theta, X, y, _ = random_instance(rng)
         fd = finite_diff_jacobian(theta, shape, X, y, LossKind.QUADRATIC)
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
+        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
         # residual is linear in w and w0, so central differences are exact there
         assert np.allclose(fd[:, :shape.q], ev.J[:, :shape.q], atol=1e-9)
         assert np.allclose(fd[:, -1], ev.J[:, -1], atol=1e-10)
 
     def test_second_order_convergence(self, rng):
         shape, theta, X, y, _ = random_instance(rng)
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
+        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
         err_h = np.max(np.abs(finite_diff_jacobian(theta, shape, X, y,
                                                    LossKind.QUADRATIC, h=1e-2) - ev.J))
         err_h2 = np.max(np.abs(finite_diff_jacobian(theta, shape, X, y,

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet.losses import LossKind, in_minimizer_set, outer_value, prox, scalar_loss
+from signet.losses import LossKind, in_minimizer_set, outer_value, prox
+
+from conftest import scalar_loss
 
 
 def golden_section_prox(a, kappa, loss, lo=-10.0, hi=10.0, tol=1e-12):

@@ -3,13 +3,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet.diagnostics import finite_diff_jacobian
-from signet.losses import LossKind
-from signet.model import (DimensionError, NetworkShape, forward, grad_forward,
-                          init_params, inner_eval, pack_params, sigmoid,
-                          split_params)
+from signet.losses import LossKind, outer_gradient
+from signet.model import (DimensionError, NetworkShape, ResidualEval, init_params,
+                          inner_eval, pack_params, predict, sigmoid, split_params)
 
-from conftest import random_instance
+from conftest import finite_diff_jacobian, random_instance
+
+
+def forward(theta, shape, x):
+    """Network output for one input."""
+    return float(predict(theta, shape, np.asarray(x, dtype=float)[None, :])[0])
+
+
+def grad_forward(theta, shape, x):
+    """Gradient of the network output for one input: the Jacobian row of
+    the residual map f(x) - 0."""
+    return inner_eval(theta, shape, np.asarray(x, dtype=float)[None, :],
+                      np.zeros(1), LossKind.QUADRATIC, jacobian=True).J[0]
+
+
+def masked_sigmoid(a):
+    """The reference formula: 1/(1+exp(-a)) where a >= 0, exp(a)/(1+exp(a))
+    elsewhere, each evaluated only on its own mask."""
+    a = np.asarray(a, dtype=float)
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
 
 
 class TestSigmoid:
@@ -33,6 +55,18 @@ class TestSigmoid:
         s = sigmoid(a)
         assert 0.0 < s < 1.0 or (s in (0.0, 1.0) and abs(a) > 30)
         assert abs(s + sigmoid(-a) - 1.0) <= 1e-15
+
+    def test_bitwise_equal_to_masked_formula(self, rng):
+        a = np.concatenate([np.linspace(-750.0, 750.0, 30001),
+                            [-750.0, 750.0, -0.0, 0.0, -745.2, 709.8, 5e-324,
+                             -5e-324, np.inf, -np.inf],
+                            rng.normal(scale=40.0, size=10000)])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid(a)
+        assert got.view(np.int64).tolist() == masked_sigmoid(a).view(np.int64).tolist()
+        assert sigmoid(-0.0) == sigmoid(0.0) == 0.5
+        assert np.isnan(sigmoid(np.nan))
+        assert sigmoid(np.full((3, 2), -750.0)).shape == (3, 2)
 
     def test_many_random_pairs(self, rng):
         a = rng.uniform(-30, 30, size=1000)
@@ -66,9 +100,11 @@ class TestForward:
     def test_dimension_mismatch(self):
         shape = NetworkShape(d=2, q=1)
         with pytest.raises(DimensionError):
-            forward(np.zeros(shape.n), shape, np.zeros(3))
+            predict(np.zeros(shape.n), shape, np.zeros((1, 3)))
         with pytest.raises(DimensionError):
-            forward(np.zeros(shape.n + 1), shape, np.zeros(2))
+            predict(np.zeros(shape.n), shape, np.zeros(2))
+        with pytest.raises(DimensionError):
+            predict(np.zeros(shape.n + 1), shape, np.zeros((1, 2)))
 
     def test_neuron_permutation_invariance(self, rng):
         shape = NetworkShape(d=2, q=5)
@@ -116,22 +152,23 @@ class TestInnerEval:
         shape = NetworkShape(d=2, q=2)
         X = rng.uniform(0, 1, (4, 2))
         y = rng.uniform(-1, 1, 4)
-        ev = inner_eval(np.zeros(shape.n), shape, X, y, LossKind.QUADRATIC)
+        ev = inner_eval(np.zeros(shape.n), shape, X, y, LossKind.QUADRATIC,
+                        jacobian=True)
         assert np.allclose(ev.F, -y)
         for i in range(4):
             assert np.allclose(ev.J[i], grad_forward(np.zeros(shape.n), shape, X[i]))
 
     def test_hinge_sign_factor(self, rng):
         shape, theta, X, _, labels = random_instance(rng)
-        ev = inner_eval(theta, shape, X, labels, LossKind.HINGE)
+        ev = inner_eval(theta, shape, X, labels, LossKind.HINGE, jacobian=True)
         for i, yi in enumerate(labels):
             g = grad_forward(theta, shape, X[i])
             assert np.allclose(ev.J[i], yi * g)
 
     def test_quadratic_equals_absolute_eval(self, rng):
         shape, theta, X, y, _ = random_instance(rng)
-        ev_q = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
-        ev_a = inner_eval(theta, shape, X, y, LossKind.ABSOLUTE)
+        ev_q = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
+        ev_a = inner_eval(theta, shape, X, y, LossKind.ABSOLUTE, jacobian=True)
         assert np.array_equal(ev_q.F, ev_a.F)
         assert np.array_equal(ev_q.J, ev_a.J)
 
@@ -145,9 +182,40 @@ class TestInnerEval:
         for _ in range(20):
             shape, theta, X, y, labels = random_instance(rng)
             targets = labels if loss is LossKind.HINGE else y
-            ev = inner_eval(theta, shape, X, targets, loss)
+            ev = inner_eval(theta, shape, X, targets, loss, jacobian=True)
             fd = finite_diff_jacobian(theta, shape, X, targets, loss)
             assert np.linalg.norm(ev.J - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
+
+    def test_jacobian_only_when_asked(self, rng):
+        shape, theta, X, y, _ = random_instance(rng)
+        plain = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
+        full = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
+        assert plain.J is None
+        assert full.J.shape == (X.shape[0], shape.n)
+        assert np.array_equal(plain.F, full.F)
+        assert np.array_equal(plain.F, predict(theta, shape, X) - y)
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_jtr_matches_dense_product(self, rng, loss):
+        for _ in range(200):
+            shape, theta, X, y, labels = random_instance(rng)
+            targets = labels if loss is LossKind.HINGE else y
+            ev = inner_eval(theta, shape, X, targets, loss, jacobian=True)
+            for r in (rng.normal(size=ev.m), outer_gradient(ev.F, loss)):
+                dense = ev.J.T @ r
+                assert np.linalg.norm(ev.jtr(r) - dense) <= \
+                    1e-12 * max(np.linalg.norm(dense), 1e-300)
+
+    def test_jtr_needs_the_hidden_pass(self):
+        ev = ResidualEval(F=np.ones(2), J=np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            ev.jtr(np.ones(2))
+
+    def test_non_finite_residuals_rejected(self):
+        shape = NetworkShape(d=1, q=1)
+        theta = pack_params([np.inf], [[1.0]], [0.0], 0.0)
+        with pytest.raises(FloatingPointError):
+            inner_eval(theta, shape, np.ones((2, 1)), np.zeros(2), LossKind.QUADRATIC)
 
 
 def test_shape_invariant():

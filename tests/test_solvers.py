@@ -3,7 +3,9 @@ import pytest
 
 from signet.data import make_franke_datasets
 from signet.losses import LossKind, outer_value
-from signet.model import NetworkShape, forward, init_params, inner_eval, pack_params
+import signet.model as model_mod
+import signet.solvers as solvers_mod
+from signet.model import NetworkShape, init_params, inner_eval, pack_params, predict
 from signet.solvers import (SolverConfig, backtrack, baseline_fit, glpa_fit,
                             lpa_fit)
 from signet.subsolvers import AdmmConfig, subproblem_model_value
@@ -15,6 +17,18 @@ def _one_point_problem():
     X = np.array([[0.0]])
     y = np.array([0.75])
     return shape, X, y
+
+
+def _count_jacobians(monkeypatch):
+    builds = {"n": 0}
+    real = model_mod._jacobian
+
+    def counting(*args, **kwargs):
+        builds["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "_jacobian", counting)
+    return builds
 
 
 class TestLpa:
@@ -35,7 +49,7 @@ class TestLpa:
         theta0 = rng.uniform(-0.5, 0.5, shape.n)
         rep = lpa_fit(X, y, shape, LossKind.QUADRATIC,
                       SolverConfig(t=10.0, max_outer=200, step_tol=1e-6), theta0)
-        assert abs(forward(rep.theta_star, shape, X[0]) - 0.75) <= 1e-3
+        assert abs(predict(rep.theta_star, shape, X)[0] - 0.75) <= 1e-3
 
     def test_trace_and_report_consistency(self, rng):
         shape, X, y = _one_point_problem()
@@ -55,11 +69,11 @@ class TestLpa:
         assert rep.stop_reason == "step_tol"
         assert len(rep.trace) == 1
         from signet.subsolvers import lm_step
-        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC), 10.0, 1)
+        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC, jacobian=True),
+                    10.0, 1)
         assert np.array_equal(rep.theta_star, theta0 + d)
 
     def test_admm_never_used_for_quadratic(self, rng, monkeypatch):
-        import signet.solvers as solvers_mod
         called = {"n": 0}
 
         def boom(*args, **kwargs):
@@ -76,7 +90,7 @@ class TestLpa:
         shape, X, y = _one_point_problem()
         theta = rng.uniform(-0.5, 0.5, shape.n)
         from signet.subsolvers import lm_step
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
+        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
         d = lm_step(ev, 10.0, ev.m)
         assert subproblem_model_value(ev, d, 10.0, ev.m, LossKind.QUADRATIC) \
             <= outer_value(ev.F, LossKind.QUADRATIC) + 1e-15
@@ -88,7 +102,7 @@ class TestBacktrack:
         X = rng.uniform(0, 1, (8, 2))
         y = rng.normal(size=8)
         theta = rng.uniform(-0.5, 0.5, shape.n)
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
+        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
         return shape, X, y, theta, ev
 
     def test_full_step_accepted_when_rule_holds(self, rng):
@@ -109,6 +123,31 @@ class TestBacktrack:
         eta, evals, accepted = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
                                          shape, X, y)
         assert eta == pytest.approx(cfg.tau ** (evals - 1))
+
+    def test_non_finite_trial_shrinks_step(self, rng, monkeypatch):
+        shape, X, y, theta, ev = self._setup(rng)
+        from signet.subsolvers import lm_step
+        cfg = SolverConfig(t=1.0)
+        d = lm_step(ev, cfg.t, ev.m)
+        calls = {"n": 0}
+
+        def first_trial_non_finite(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise FloatingPointError("non-finite entries in residual evaluation")
+            return inner_eval(*args, **kwargs)
+
+        monkeypatch.setattr(solvers_mod, "inner_eval", first_trial_non_finite)
+        # the unit step would pass (test_full_step_accepted_when_rule_holds)
+        assert backtrack(theta, d, ev, LossKind.QUADRATIC, cfg, shape, X, y) == \
+            (cfg.tau, 2, True)
+
+    def test_all_trials_non_finite(self, rng):
+        shape, X, y, theta, ev = self._setup(rng)
+        cfg = SolverConfig(t=1.0)
+        d = np.full(shape.n, 1e308)
+        assert backtrack(theta, d, ev, LossKind.QUADRATIC, cfg, shape, X, y) == \
+            (0.0, cfg.max_backtracks, False)
 
     def test_accepted_steps_descend(self, rng):
         shape = NetworkShape(d=1, q=2)
@@ -150,7 +189,6 @@ class TestGlpa:
 
     @pytest.mark.parametrize("accepted", [True, False])
     def test_last_step_taken_only_if_accepted(self, rng, monkeypatch, accepted):
-        import signet.solvers as solvers_mod
         monkeypatch.setattr(solvers_mod, "backtrack",
                             lambda *args, **kwargs: (0.5, 2, accepted))
         shape, X, y = _one_point_problem()
@@ -160,9 +198,38 @@ class TestGlpa:
         assert rep.stop_reason == "step_tol"
         assert rep.trace[-1].accepted is accepted
         from signet.subsolvers import lm_step
-        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC), 10.0, 1)
+        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC, jacobian=True),
+                    10.0, 1)
         expected = theta0 + 0.5 * d if accepted else theta0
         assert np.array_equal(rep.theta_star, expected)
+
+    def test_non_finite_step_is_never_taken(self, rng, monkeypatch):
+        # the squared residual overflows at every trial point, down to the
+        # smallest step 1e308 / 2**9
+        monkeypatch.setattr(solvers_mod, "lm_step",
+                            lambda ev, t, m: np.full(ev.J.shape[1], 1e308))
+        shape, X, y = _one_point_problem()
+        theta0 = rng.uniform(-0.5, 0.5, shape.n)
+        rep = glpa_fit(X, y, shape, LossKind.QUADRATIC, SolverConfig(t=10.0), theta0)
+        assert rep.stop_reason == "line_search_failed"
+        assert not rep.converged
+        assert len(rep.trace) == 1
+        assert rep.trace[0].eta == 0.0 and not rep.trace[0].accepted
+        assert np.array_equal(rep.theta_star, theta0)
+        assert rep.final_objective == rep.trace[0].objective
+
+    @pytest.mark.parametrize("fit,loss", [(lpa_fit, LossKind.QUADRATIC),
+                                          (glpa_fit, LossKind.QUADRATIC),
+                                          (glpa_fit, LossKind.HINGE)])
+    def test_one_jacobian_per_outer_iteration(self, rng, monkeypatch, fit, loss):
+        builds = _count_jacobians(monkeypatch)
+        shape = NetworkShape(d=2, q=3)
+        X = rng.uniform(0, 1, (10, 2))
+        y = rng.choice([-1.0, 1.0], size=10) if loss is LossKind.HINGE \
+            else rng.normal(size=10)
+        rep = fit(X, y, shape, loss, SolverConfig(t=100.0, max_outer=15),
+                  rng.uniform(-0.5, 0.5, shape.n))
+        assert builds["n"] == len(rep.trace) > 1
 
     def test_deterministic_reruns(self, rng):
         shape = NetworkShape(d=1, q=2)
@@ -195,7 +262,7 @@ class TestBaselines:
         y = rng.normal(size=6) * 0.2
         theta0 = rng.uniform(-0.5, 0.5, shape.n)
         # numeric curvature estimate along the path sets a safe rate
-        ev = inner_eval(theta0, shape, X, y, LossKind.QUADRATIC)
+        ev = inner_eval(theta0, shape, X, y, LossKind.QUADRATIC, jacobian=True)
         lipschitz = 2.0 / ev.m * np.linalg.norm(ev.J, 2) ** 2 * 4
         rep = baseline_fit(X, y, shape, LossKind.QUADRATIC, "sgdm", theta0,
                            lr=min(1e-1, 1.0 / lipschitz), momentum=0.0, iters=200)
@@ -221,6 +288,17 @@ class TestBaselines:
                            rng.uniform(-0.5, 0.5, shape.n), iters=50)
         assert len(rep.trace) == 50
         assert np.all(np.isfinite(rep.theta_star))
+
+    @pytest.mark.parametrize("name", ["sgdm", "rmsprop", "adam"])
+    def test_no_jacobian_built(self, rng, monkeypatch, name):
+        builds = _count_jacobians(monkeypatch)
+        shape = NetworkShape(d=2, q=2)
+        X = rng.uniform(0, 1, (10, 2))
+        rep = baseline_fit(X, rng.choice([-1.0, 1.0], size=10), shape,
+                           LossKind.HINGE, name, rng.uniform(-0.5, 0.5, shape.n),
+                           iters=20)
+        assert len(rep.trace) == 20
+        assert builds["n"] == 0
 
     def test_invalid_hyperparameters(self, rng):
         shape, X, y = _one_point_problem()

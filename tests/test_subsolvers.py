@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from signet.losses import LossKind, scalar_loss
+from signet.losses import LossKind
 from signet.model import ResidualEval
 from signet.subsolvers import (AdmmConfig, admm_solve, lm_step,
                                subproblem_model_value)
 
-from conftest import random_instance
+from conftest import random_instance, scalar_loss
 
 
 def _random_eval(rng, m, n, scale=1.0):
@@ -132,14 +132,6 @@ class TestAdmm:
         admm_solve(ev, 10.0, 8, LossKind.ABSOLUTE,
                    AdmmConfig(rho=0.1, eps=1e-12, max_iters=50))
         assert calls["n"] == 1
-
-    def test_transposed_dual_residual_variant_runs(self, rng):
-        ev = _random_eval(rng, 5, 7)
-        cfg = AdmmConfig(rho=0.5, eps=1e-8, max_iters=5000,
-                         transposed_dual_residual=True)
-        d, tr = admm_solve(ev, 10.0, 5, LossKind.HINGE, cfg)
-        assert tr.converged
-        assert np.all(np.isfinite(d))
 
 
 class TestModelValue:
