@@ -16,11 +16,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import data as data_mod
 from . import diagnostics
-from .losses import LossKind, outer_value
+from .losses import LossKind
 from .model import NetworkShape, init_params, inner_eval, predict
 from .solvers import FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from .subsolvers import AdmmConfig
@@ -33,24 +31,10 @@ def _f17(x: float) -> float:
     return float(f"{x:.17g}")
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--loss", choices=[k.value for k in LossKind], default="quadratic")
-    p.add_argument("--q", type=int, default=None,
-                   help="hidden neurons (default: adaptive size from m and d)")
-    p.add_argument("--t", type=float, default=1e5)
-    p.add_argument("--step-tol", type=float, default=1e-2)
-    p.add_argument("--max-outer", type=int, default=500)
-    p.add_argument("--c", type=float, default=1e-3)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--max-backtracks", type=int, default=10)
-    p.add_argument("--rho", type=float, default=1e-2)
-    p.add_argument("--eps", type=float, default=1e-2,
-                   help="ADMM residual tolerance, relative to the step's size")
-    p.add_argument("--admm-max-iters", type=int, default=20)
+def _add_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--noise-sigma", type=float, default=None,
                    help="enable training-target noise with this sigma_tilde")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", choices=["zero", "uniform", "wide"], default="uniform")
     p.add_argument("--pair", type=str, default="0,1",
                    help="digit pair A,B for the digits task")
     p.add_argument("--train-frac", type=float, default=0.7)
@@ -61,6 +45,23 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--n-test", type=int, default=121)
     p.add_argument("--normalize", action="store_true",
                    help="divide digit pixels by 16")
+
+
+def _add_solver_flags(p: argparse.ArgumentParser):
+    p.add_argument("--loss", choices=[k.value for k in LossKind], default="quadratic")
+    p.add_argument("--q", type=int, default=None,
+                   help="hidden neurons (default: adaptive size from m and d)")
+    p.add_argument("--t", type=float, default=SolverConfig.t)
+    p.add_argument("--step-tol", type=float, default=SolverConfig.step_tol)
+    p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
+    p.add_argument("--c", type=float, default=SolverConfig.c)
+    p.add_argument("--tau", type=float, default=SolverConfig.tau)
+    p.add_argument("--max-backtracks", type=int, default=SolverConfig.max_backtracks)
+    p.add_argument("--rho", type=float, default=AdmmConfig.rho)
+    p.add_argument("--eps", type=float, default=AdmmConfig.eps,
+                   help="ADMM residual tolerance, relative to the step's size")
+    p.add_argument("--admm-max-iters", type=int, default=AdmmConfig.max_iters)
+    p.add_argument("--init", choices=["zero", "uniform", "wide"], default="uniform")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--iters", type=int, default=1000,
@@ -76,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="train one model and write result files")
     p_run.add_argument("--task", choices=["franke", "digits", "custom-csv"],
                        required=True)
-    _add_common_flags(p_run)
     p_run.add_argument("--solver", choices=["lpa", "glpa", "sgdm", "rmsprop", "adam"],
                        default="lpa")
     p_run.add_argument("--save-model", action="store_true",
@@ -84,21 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-data", help="write datasets as CSV")
     p_gen.add_argument("--task", choices=["franke", "digits"], required=True)
-    p_gen.add_argument("--n-train", type=int, default=289)
-    p_gen.add_argument("--n-test", type=int, default=121)
-    p_gen.add_argument("--noise-sigma", type=float, default=None)
-    p_gen.add_argument("--pair", type=str, default="0,1")
-    p_gen.add_argument("--train-frac", type=float, default=0.7)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--data", type=str, default=None)
-    p_gen.add_argument("--normalize", action="store_true")
-    p_gen.add_argument("--out", type=str, default="out")
 
     p_cmp = sub.add_parser("compare",
                            help="GLPA vs SGDM/RMSProp/Adam on one task")
     p_cmp.add_argument("--task", choices=["franke", "digits", "custom-csv"],
                        required=True)
-    _add_common_flags(p_cmp)
+    for p in (p_run, p_gen, p_cmp):
+        _add_data_flags(p)
+    for p in (p_run, p_cmp):
+        _add_solver_flags(p)
     return parser
 
 
@@ -123,26 +117,25 @@ def _load_task(args) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     if args.task == "custom-csv":
         if args.data is None:
             raise ValueError("custom-csv task needs --data")
-        loss = LossKind(args.loss)
-        task = (data_mod.TaskKind.BINARY if loss is LossKind.HINGE
+        task = (data_mod.TaskKind.BINARY if LossKind(args.loss) is LossKind.HINGE
                 else data_mod.TaskKind.REGRESSION)
         full = data_mod.load_dataset_csv(args.data, task)
-        n_train = int(args.train_frac * full.m)
-        rng = np.random.default_rng(args.seed)
-        perm = rng.permutation(full.m)
-        tr = data_mod.Dataset(full.inputs[perm[:n_train]],
-                              full.targets[perm[:n_train]], task)
-        te = data_mod.Dataset(full.inputs[perm[n_train:]],
-                              full.targets[perm[n_train:]], task)
-        return tr, te
+        return data_mod.split_dataset(full, args.train_frac, args.seed)
     raise ValueError(f"unknown task {args.task!r}")
 
 
-def _validate_combo(loss: LossKind, task_kind: data_mod.TaskKind):
-    if loss is LossKind.HINGE and task_kind is not data_mod.TaskKind.BINARY:
+def _setup(args):
+    """(loss, train, test, shape, theta0) of a run or a comparison."""
+    loss = LossKind(args.loss)
+    train, test = _load_task(args)
+    if loss is LossKind.HINGE and train.task is not data_mod.TaskKind.BINARY:
         raise ValueError("hinge loss needs a binary classification task")
-    if loss is not LossKind.HINGE and task_kind is data_mod.TaskKind.BINARY:
+    if loss is not LossKind.HINGE and train.task is data_mod.TaskKind.BINARY:
         raise ValueError("classification tasks use the hinge loss")
+    q = args.q if args.q is not None else diagnostics.adaptive_network_size(
+        train.m, train.d)
+    shape = NetworkShape(d=train.d, q=q)
+    return loss, train, test, shape, init_params(shape, args.init, args.seed)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -174,7 +167,7 @@ def _write_trace(report: FitReport, path: Path):
                              rec.admm_iters, f"{rec.elapsed:.17g}"])
 
 
-def _metrics(theta, shape, loss, train, test):
+def _metrics(theta, shape, train, test):
     if train.task is data_mod.TaskKind.BINARY:
         return {
             "training_errors": diagnostics.classification_errors(theta, shape, train),
@@ -202,14 +195,7 @@ def _config_echo(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    loss = LossKind(args.loss)
-    train, test = _load_task(args)
-    _validate_combo(loss, train.task)
-    q = args.q if args.q is not None else diagnostics.adaptive_network_size(
-        train.m, train.d)
-    shape = NetworkShape(d=train.d, q=q)
-    theta0 = init_params(shape, args.init, args.seed)
-
+    loss, train, test, shape, theta0 = _setup(args)
     started = time.perf_counter()
     report = _fit(args, train, shape, loss, theta0)
     elapsed = time.perf_counter() - started
@@ -224,7 +210,7 @@ def cmd_run(args) -> int:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config": _config_echo(args),
-        "q": q,
+        "q": shape.q,
         "n_params": shape.n,
         "adaptive_q": diagnostics.adaptive_network_size(train.m, train.d),
         "final_objective": _f17(report.final_objective),
@@ -234,7 +220,7 @@ def cmd_run(args) -> int:
         "elapsed_s": _f17(elapsed),
         "jacobian_rank": rank,
         "full_row_rank": full_row_rank,
-        "metrics": _metrics(report.theta_star, shape, loss, train, test),
+        "metrics": _metrics(report.theta_star, shape, train, test),
     }
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
@@ -251,17 +237,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    train, test = _load_task(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.task == "franke":
-        noise = (data_mod.NoiseSpec(args.noise_sigma, args.seed)
-                 if args.noise_sigma is not None else None)
-        train, test = data_mod.make_franke_datasets(args.n_train, args.n_test, noise)
-    else:
-        records = data_mod.load_digits_csv(args.data)
-        a, b = _parse_pair(args.pair)
-        train, test = data_mod.make_binary_task(records, a, b, args.train_frac,
-                                                args.seed, args.normalize)
     data_mod.save_dataset_csv(train, out / "train.csv")
     data_mod.save_dataset_csv(test, out / "test.csv")
     print(f"wrote {out / 'train.csv'} ({train.m} rows) and "
@@ -270,13 +248,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    loss = LossKind(args.loss)
-    train, test = _load_task(args)
-    _validate_combo(loss, train.task)
-    q = args.q if args.q is not None else diagnostics.adaptive_network_size(
-        train.m, train.d)
-    shape = NetworkShape(d=train.d, q=q)
-    theta0 = init_params(shape, args.init, args.seed)
+    loss, train, _, shape, theta0 = _setup(args)
     cfg = _solver_config(args)
 
     out = Path(args.out)

@@ -156,8 +156,7 @@ def make_binary_task(records, digit_pos: int, digit_neg: int,
                      train_fraction: float = 0.7, seed: int = 0,
                      normalize: bool = False) -> tuple[Dataset, Dataset]:
     """Two-digit classification split: digit_pos -> +1, digit_neg -> -1,
-    seeded shuffle, floor(train_fraction * count) training rows. The
-    normalize flag divides pixels by 16."""
+    split by split_dataset. The normalize flag divides pixels by 16."""
     if digit_pos == digit_neg:
         raise DataError("the two digits must differ")
     selected = [(px, +1.0 if lab == digit_pos else -1.0)
@@ -166,18 +165,24 @@ def make_binary_task(records, digit_pos: int, digit_neg: int,
         if not any(lab == digit for _, lab in records):
             raise DataError(f"digit {digit} absent from records")
     X = np.array([px for px, _ in selected])
-    y = np.array([t for _, t in selected])
     if normalize:
         X = X / 16.0
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(selected))
-    X, y = X[perm], y[perm]
+    full = Dataset(X, np.array([t for _, t in selected]), TaskKind.BINARY)
+    return split_dataset(full, train_fraction, seed)
+
+
+def split_dataset(ds: Dataset, train_fraction: float,
+                  seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded shuffle of the rows, then floor(train_fraction * m) of them
+    for training and the rest for testing; both parts must be non-empty."""
+    perm = np.random.default_rng(seed).permutation(ds.m)
     # tiny epsilon keeps e.g. 0.7*360 from flooring to 251
-    n_train = int(math.floor(train_fraction * len(selected) + 1e-9))
-    if n_train < 1 or n_train >= len(selected):
-        raise DataError(f"degenerate split: {n_train} of {len(selected)}")
-    return (Dataset(X[:n_train], y[:n_train], TaskKind.BINARY),
-            Dataset(X[n_train:], y[n_train:], TaskKind.BINARY))
+    n_train = int(math.floor(train_fraction * ds.m + 1e-9))
+    if n_train < 1 or n_train >= ds.m:
+        raise DataError(f"degenerate split: {n_train} of {ds.m}")
+    X, y = ds.inputs[perm], ds.targets[perm]
+    return (Dataset(X[:n_train], y[:n_train], ds.task),
+            Dataset(X[n_train:], y[n_train:], ds.task))
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:

@@ -1,4 +1,4 @@
-"""Outer convex loss functions, their minimizer sets, and the scalar
+"""Outer convex loss functions, their (sub)gradients, and the scalar
 proximity operators used by the ADMM subproblem solver.
 
 Every loss is separable: the vector loss is the mean of a scalar convex
@@ -71,14 +71,3 @@ def prox(a, kappa: float, loss: LossKind):
                          "use the closed-form regularized least-squares step)")
     return out if out.ndim else float(out)
 
-
-def in_minimizer_set(z: np.ndarray, loss: LossKind, tol: float = 0.0) -> bool:
-    """Whether z is (within tol) a global minimizer of the outer loss.
-
-    Quadratic and absolute minimize at z = 0; hinge at every z >= 1
-    componentwise.
-    """
-    z = np.asarray(z, dtype=float)
-    if loss is LossKind.HINGE:
-        return bool(np.min(z) >= 1.0 - tol)
-    return bool(np.max(np.abs(z)) <= tol)

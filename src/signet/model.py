@@ -94,10 +94,6 @@ def split_params(theta: np.ndarray, shape: NetworkShape):
     return w, V, u, w0
 
 
-def pack_params(w, V, u, w0) -> np.ndarray:
-    return np.concatenate([np.ravel(w), np.ravel(V), np.ravel(u), [w0]])
-
-
 def init_params(shape: NetworkShape, kind: str = "uniform", seed: int = 0,
                 scale: float = 0.5) -> np.ndarray:
     """Starting point: 'zero' or seeded 'uniform' entries in [-scale, scale]."""

@@ -56,8 +56,8 @@ class FitReport:
 
 def _solve_subproblem(ev: ResidualEval, loss: LossKind, cfg: SolverConfig):
     if loss is LossKind.QUADRATIC:
-        return lm_step(ev, cfg.t, ev.m), 0
-    dtheta, tr = admm_solve(ev, cfg.t, ev.m, loss, cfg.admm)
+        return lm_step(ev, cfg.t), 0
+    dtheta, tr = admm_solve(ev, cfg.t, loss, cfg.admm)
     return dtheta, tr.iterations
 
 
@@ -76,20 +76,21 @@ def backtrack(theta_k, dtheta_k, ev_k: ResidualEval, loss: LossKind,
     non-finite there too.
     """
     obj_k = outer_value(ev_k.F, loss)
-    predicted = subproblem_model_value(ev_k, dtheta_k, cfg.t, ev_k.m, loss) - obj_k
     eta = 1.0
-    for trial in range(1, cfg.max_backtracks + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing step gives non-finite values here, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = subproblem_model_value(ev_k, dtheta_k, cfg.t, loss) - obj_k
+        for trial in range(1, cfg.max_backtracks + 1):
             try:
                 obj = outer_value(inner_eval(theta_k + eta * dtheta_k, shape,
                                              inputs, targets, loss).F, loss)
             except FloatingPointError:      # non-finite residuals
                 obj = math.inf
-        if (math.isfinite(obj) and math.isfinite(predicted)
-                and obj - obj_k <= cfg.c * eta * predicted):
-            return eta, trial, True
-        if trial < cfg.max_backtracks:
-            eta *= cfg.tau
+            if (math.isfinite(obj) and math.isfinite(predicted)
+                    and obj - obj_k <= cfg.c * eta * predicted):
+                return eta, trial, True
+            if trial < cfg.max_backtracks:
+                eta *= cfg.tau
     return (eta if math.isfinite(obj) else 0.0), cfg.max_backtracks, False
 
 
@@ -113,7 +114,8 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
         if not np.isfinite(obj):
             raise FloatingPointError(f"non-finite objective at iteration {k}")
         dtheta, admm_iters = _solve_subproblem(ev, loss, cfg)
-        step_norm = float(np.linalg.norm(dtheta))
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_norm = float(np.linalg.norm(dtheta))
         converged = step_norm < cfg.step_tol
         if line_search:
             eta, _, accepted = backtrack(theta, dtheta, ev, loss, cfg,

@@ -36,25 +36,24 @@ class AdmmTrace:
     converged: bool
 
 
-def _spd_factor(M: np.ndarray):
+def _factor(J: np.ndarray, c: float, t: float):
+    """Cholesky factor of c J^T J + I/t, the matrix of both subsolvers."""
+    if t <= 0:
+        raise ValueError(f"stepsize t must be positive, got {t}")
+    M = c * (J.T @ J)
+    M[np.diag_indices(J.shape[1])] += 1.0 / t
     if not np.all(np.isfinite(M)):
         raise FloatingPointError("non-finite entries in subproblem matrix")
     return scipy.linalg.cho_factor(M, lower=True)
 
 
-def lm_step(ev: ResidualEval, t: float, m: int) -> np.ndarray:
+def lm_step(ev: ResidualEval, t: float) -> np.ndarray:
     """Closed-form quadratic-loss step: solve ((2/m) J^T J + I/t) d = -(2/m) J^T F."""
-    if t <= 0:
-        raise ValueError(f"stepsize t must be positive, got {t}")
-    J, F = ev.J, ev.F
-    n = J.shape[1]
-    B = (2.0 / m) * (J.T @ J)
-    B[np.diag_indices(n)] += 1.0 / t
-    g = (2.0 / m) * (J.T @ F)
-    return scipy.linalg.cho_solve(_spd_factor(B), -g)
+    c = 2.0 / ev.m
+    return scipy.linalg.cho_solve(_factor(ev.J, c, t), -(c * (ev.J.T @ ev.F)))
 
 
-def admm_solve(ev: ResidualEval, t: float, m: int, loss: LossKind,
+def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
                cfg: AdmmConfig) -> tuple[np.ndarray, AdmmTrace]:
     """ADMM on the split subproblem min outer(mu) + ||dtheta||^2/(2t)
     s.t. mu = F + J dtheta.
@@ -68,21 +67,15 @@ def admm_solve(ev: ResidualEval, t: float, m: int, loss: LossKind,
     subproblem does not pass at its first, cold-start iterate. Otherwise
     returns the last iterate unconverged at max_iters.
     """
-    if t <= 0:
-        raise ValueError(f"stepsize t must be positive, got {t}")
     if loss not in (LossKind.ABSOLUTE, LossKind.HINGE):
         raise ValueError(f"ADMM subsolver handles absolute/hinge losses, got {loss!r}")
     cfg.validate()
-    J, F = ev.J, ev.F
-    n = J.shape[1]
+    J, F, m = ev.J, ev.F, ev.m
     rho = cfg.rho
     kappa = 1.0 / (m * rho)
+    factor = _factor(J, rho, t)
 
-    A = rho * (J.T @ J)
-    A[np.diag_indices(n)] += 1.0 / t
-    factor = _spd_factor(A)
-
-    dtheta = np.zeros(n)
+    dtheta = np.zeros(J.shape[1])
     lam = np.zeros(m)
     Jd = np.zeros(m)
     r_norm = s_norm = np.inf
@@ -110,7 +103,7 @@ def admm_solve(ev: ResidualEval, t: float, m: int, loss: LossKind,
 
 
 def subproblem_model_value(ev: ResidualEval, dtheta: np.ndarray, t: float,
-                           m: int, loss: LossKind) -> float:
+                           loss: LossKind) -> float:
     """Value of the linearized-plus-proximal objective at dtheta."""
     if t <= 0:
         raise ValueError(f"stepsize t must be positive, got {t}")

@@ -23,6 +23,12 @@ def random_instance(rng, d_max=5, q_max=8, m_max=12, theta_scale=2.0):
     return shape, theta, X, y, labels
 
 
+def pack_params(w, V, u, w0) -> np.ndarray:
+    """Flat parameter vector [w | V (neuron-major) | u | w0], the inverse of
+    signet.model.split_params: builds hand-made networks for tests."""
+    return np.concatenate([np.ravel(w), np.ravel(V), np.ravel(u), [w0]])
+
+
 def finite_diff_jacobian(theta, shape, inputs, targets, loss, h=1e-5):
     """Central-difference Jacobian of the residual map, column by column:
     the oracle for the analytic Jacobian."""

@@ -160,7 +160,7 @@ def test_criterion_6c_lm_step_kkt():
         n = int(rng.integers(1, 31))
         ev = ResidualEval(F=rng.normal(size=m), J=rng.normal(size=(m, n)))
         t = float(rng.uniform(0.1, 1e4))
-        d = lm_step(ev, t, m)
+        d = lm_step(ev, t)
         B = (2 / m) * ev.J.T @ ev.J + np.eye(n) / t
         g = (2 / m) * ev.J.T @ ev.F
         assert np.linalg.norm(B @ d + g) <= 1e-10 * (1 + np.linalg.norm(g))
@@ -174,9 +174,9 @@ def test_criterion_6d_admm_vs_random_search():
         loss = LossKind.ABSOLUTE if rng.uniform() < 0.5 else LossKind.HINGE
         ev = ResidualEval(F=rng.normal(size=m), J=rng.normal(size=(m, n)))
         t = float(rng.uniform(1.0, 100.0))
-        d, _ = admm_solve(ev, t, m, loss,
+        d, _ = admm_solve(ev, t, loss,
                           AdmmConfig(rho=0.5, eps=1e-6, max_iters=20000))
-        val = subproblem_model_value(ev, d, t, m, loss)
+        val = subproblem_model_value(ev, d, t, loss)
         cand = rng.normal(size=(n, 200_000)) * rng.uniform(0.05, 3.0,
                                                            size=200_000)
         Z = ev.F[:, None] + ev.J @ cand

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from signet.cli import build_parser, main
+from signet.cli import _solver_config, build_parser, main
+from signet.solvers import SolverConfig
 
 
 def _read_summary(out):
@@ -34,6 +36,10 @@ class TestParser:
         assert args.max_outer == 500
         assert args.rho == 1e-2 and args.eps == 1e-2
         assert args.admm_max_iters == 20
+
+    def test_solver_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["run", "--task", "franke"])
+        assert _solver_config(args) == SolverConfig()
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(SystemExit):
@@ -148,6 +154,34 @@ class TestCustomCsv:
         assert np.isfinite(summary["metrics"]["test_rms_error"])
         assert len(_read_trace(out)) == summary["iterations"]
 
+    def _write_labelled_csv(self, path, rows=90):
+        rng = np.random.default_rng(5)
+        lines = ["x0,x1,y"] + [f"{a:.17g},{b:.17g},{y:g}" for a, b, y in zip(
+            rng.uniform(0, 1, rows), rng.uniform(0, 1, rows),
+            rng.choice([-1.0, 1.0], rows))]
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_split_size_matches_digits_rule(self, tmp_path):
+        # floor(0.7 * 90) is 63; 0.7 * 90 evaluates to 62.99999999999999
+        data = tmp_path / "labelled.csv"
+        self._write_labelled_csv(data)
+        out = tmp_path / "o"
+        rc = main(["run", "--task", "custom-csv", "--data", str(data),
+                   "--loss", "hinge", "--solver", "glpa", "--q", "2",
+                   "--max-outer", "2", "--admm-max-iters", "2", "--out", str(out)])
+        assert rc == 0
+        metrics = _read_summary(out)["metrics"]
+        assert (metrics["training_size"], metrics["test_size"]) == (63, 27)
+
+    def test_degenerate_split_fails(self, tmp_path, capsys):
+        data = tmp_path / "labelled.csv"
+        self._write_labelled_csv(data)
+        rc = main(["run", "--task", "custom-csv", "--data", str(data),
+                   "--loss", "hinge", "--train-frac", "1.0",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "degenerate split" in capsys.readouterr().err
+
     def test_non_finite_cell_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x0,x1,y\n0.1,0.2,0.3\n0.4,nan,0.6\n0.7,0.8,0.9\n")
@@ -182,6 +216,18 @@ class TestGenData:
         assert rows[0][-1] == "y"
         labels = {row[-1] for row in rows[1:]}
         assert labels == {"1", "-1"}
+
+    def test_digits_pair_export_bytes(self, tmp_path):
+        # the export is pinned byte for byte: split, row order and formatting
+        out = tmp_path / "d"
+        assert main(["gen-data", "--task", "digits", "--pair", "3,7",
+                     "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("train.csv", "test.csv")}
+        assert digests == {
+            "train.csv": "68d20410f170406dd358f9de8fa7224ae59152b263d30f3eeb0994bd28b29090",
+            "test.csv": "570023f2f1204f68c0cab6dbd2cd8bbec22c697d8e167078e5923d7a6d82e21b",
+        }
 
     def test_bad_pair_format(self, tmp_path, capsys):
         rc = main(["gen-data", "--task", "digits", "--pair", "37",

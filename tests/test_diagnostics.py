@@ -7,9 +7,9 @@ from signet.data import Dataset, TaskKind
 from signet.diagnostics import (adaptive_network_size, classification_errors,
                                 jacobian_rank, max_error, rms_error)
 from signet.losses import LossKind
-from signet.model import NetworkShape, inner_eval, pack_params
+from signet.model import NetworkShape, inner_eval
 
-from conftest import finite_diff_jacobian, random_instance
+from conftest import finite_diff_jacobian, pack_params, random_instance
 
 
 class TestErrors:

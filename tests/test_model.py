@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from signet.losses import LossKind, outer_gradient
 from signet.model import (DimensionError, NetworkShape, ResidualEval, init_params,
-                          inner_eval, pack_params, predict, sigmoid, split_params)
+                          inner_eval, predict, sigmoid, split_params)
 
-from conftest import finite_diff_jacobian, random_instance
+from conftest import finite_diff_jacobian, pack_params, random_instance
 
 
 def forward(theta, shape, x):

@@ -5,10 +5,12 @@ from signet.data import make_franke_datasets
 from signet.losses import LossKind, outer_value
 import signet.model as model_mod
 import signet.solvers as solvers_mod
-from signet.model import NetworkShape, init_params, inner_eval, pack_params, predict
+from signet.model import NetworkShape, init_params, inner_eval, predict
 from signet.solvers import (SolverConfig, backtrack, baseline_fit, glpa_fit,
                             lpa_fit)
 from signet.subsolvers import AdmmConfig, subproblem_model_value
+
+from conftest import pack_params
 
 
 def _one_point_problem():
@@ -70,7 +72,7 @@ class TestLpa:
         assert len(rep.trace) == 1
         from signet.subsolvers import lm_step
         d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC, jacobian=True),
-                    10.0, 1)
+                    10.0)
         assert np.array_equal(rep.theta_star, theta0 + d)
 
     def test_admm_never_used_for_quadratic(self, rng, monkeypatch):
@@ -91,8 +93,8 @@ class TestLpa:
         theta = rng.uniform(-0.5, 0.5, shape.n)
         from signet.subsolvers import lm_step
         ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
-        d = lm_step(ev, 10.0, ev.m)
-        assert subproblem_model_value(ev, d, 10.0, ev.m, LossKind.QUADRATIC) \
+        d = lm_step(ev, 10.0)
+        assert subproblem_model_value(ev, d, 10.0, LossKind.QUADRATIC) \
             <= outer_value(ev.F, LossKind.QUADRATIC) + 1e-15
 
 
@@ -109,7 +111,7 @@ class TestBacktrack:
         shape, X, y, theta, ev = self._setup(rng)
         from signet.subsolvers import lm_step
         cfg = SolverConfig(t=1.0)
-        d = lm_step(ev, cfg.t, ev.m)
+        d = lm_step(ev, cfg.t)
         eta, evals, accepted = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
                                          shape, X, y)
         # small t makes the step conservative, the unit step passes the rule
@@ -128,7 +130,7 @@ class TestBacktrack:
         shape, X, y, theta, ev = self._setup(rng)
         from signet.subsolvers import lm_step
         cfg = SolverConfig(t=1.0)
-        d = lm_step(ev, cfg.t, ev.m)
+        d = lm_step(ev, cfg.t)
         calls = {"n": 0}
 
         def first_trial_non_finite(*args, **kwargs):
@@ -199,7 +201,7 @@ class TestGlpa:
         assert rep.trace[-1].accepted is accepted
         from signet.subsolvers import lm_step
         d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC, jacobian=True),
-                    10.0, 1)
+                    10.0)
         expected = theta0 + 0.5 * d if accepted else theta0
         assert np.array_equal(rep.theta_star, expected)
 
@@ -207,7 +209,7 @@ class TestGlpa:
         # the squared residual overflows at every trial point, down to the
         # smallest step 1e308 / 2**9
         monkeypatch.setattr(solvers_mod, "lm_step",
-                            lambda ev, t, m: np.full(ev.J.shape[1], 1e308))
+                            lambda ev, t: np.full(ev.J.shape[1], 1e308))
         shape, X, y = _one_point_problem()
         theta0 = rng.uniform(-0.5, 0.5, shape.n)
         rep = glpa_fit(X, y, shape, LossKind.QUADRATIC, SolverConfig(t=10.0), theta0)
