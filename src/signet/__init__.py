@@ -2,6 +2,22 @@
 a linearized proximal outer loop with closed-form or ADMM subproblem solves,
 plus first-order baselines, dataset builders, and diagnostics."""
 
+import os
+import sys
+
+# One BLAS thread unless the caller's environment says otherwise. At the
+# subproblem sizes here (n in the hundreds) a second OpenBLAS thread makes
+# cho_factor about ten times slower and changes results in the last bits.
+# OpenBLAS reads the variables once, when numpy loads it; if numpy is already
+# loaded, setting them would pin only the scipy OpenBLAS loaded later, a
+# mixed state, so the environment is left alone and _blas_threads is None.
+if "numpy" in sys.modules:
+    _blas_threads = None
+else:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
+    _blas_threads = os.environ["OPENBLAS_NUM_THREADS"]
+
 from .data import Dataset, NoiseSpec, TaskKind, make_binary_task, make_franke_datasets
 from .diagnostics import adaptive_network_size, jacobian_rank, max_error, rms_error
 from .losses import LossKind, outer_value, prox

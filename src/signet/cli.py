@@ -12,10 +12,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 
+import numpy
+import scipy
+
+from . import _blas_threads
 from . import data as data_mod
 from . import diagnostics
 from .losses import LossKind
@@ -23,7 +28,7 @@ from .model import NetworkShape, init_params, inner_eval, predict
 from .solvers import FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _f17(x: float) -> float:
@@ -194,6 +199,14 @@ def _config_echo(args) -> dict:
     return echo
 
 
+def _environment() -> dict:
+    """What a run's last bits depend on besides its config: the library
+    versions and the OPENBLAS_NUM_THREADS value signet loaded numpy under
+    (None when numpy was loaded before signet; see signet/__init__.py)."""
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "blas_threads": _blas_threads}
+
+
 def cmd_run(args) -> int:
     loss, train, test, shape, theta0 = _setup(args)
     started = time.perf_counter()
@@ -210,6 +223,7 @@ def cmd_run(args) -> int:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config": _config_echo(args),
+        "environment": _environment(),
         "q": shape.q,
         "n_params": shape.n,
         "adaptive_q": diagnostics.adaptive_network_size(train.m, train.d),
@@ -274,6 +288,7 @@ def cmd_compare(args) -> int:
     with open(out / "compare_summary.json", "w", encoding="utf-8") as fh:
         json.dump({"schema_version": SCHEMA_VERSION,
                    "config": _config_echo(args),
+                   "environment": _environment(),
                    "final_objectives": {k: _f17(v) for k, v in finals.items()}},
                   fh, indent=2)
         fh.write("\n")

@@ -94,21 +94,21 @@ def split_params(theta: np.ndarray, shape: NetworkShape):
     return w, V, u, w0
 
 
-def init_params(shape: NetworkShape, kind: str = "uniform", seed: int = 0,
-                scale: float = 0.5) -> np.ndarray:
-    """Starting point: 'zero' or seeded 'uniform' entries in [-scale, scale]."""
+def init_params(shape: NetworkShape, kind: str = "uniform", seed: int = 0) -> np.ndarray:
+    """Starting point: 'zero'; seeded 'uniform' entries in [-0.5, 0.5]; or
+    seeded 'wide', uniform in [-0.5, 0.5] with the hidden-layer weights and
+    biases redrawn in [-5, 5]."""
     if kind == "zero":
         return np.zeros(shape.n)
     if kind == "uniform":
         rng = np.random.default_rng(seed)
-        return rng.uniform(-scale, scale, size=shape.n)
+        return rng.uniform(-0.5, 0.5, size=shape.n)
     if kind == "wide":
         # small output weights, spread-out hidden-layer weights; raises the
         # numerical rank of the Jacobian at the starting point
         rng = np.random.default_rng(seed)
-        theta = rng.uniform(-scale, scale, size=shape.n)
-        theta[shape.q:-1] = rng.uniform(-10 * scale, 10 * scale,
-                                        size=shape.n - shape.q - 1)
+        theta = rng.uniform(-0.5, 0.5, size=shape.n)
+        theta[shape.q:-1] = rng.uniform(-5.0, 5.0, size=shape.n - shape.q - 1)
         return theta
     raise ValueError(f"unknown init kind {kind!r}")
 

@@ -75,7 +75,6 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     kappa = 1.0 / (m * rho)
     factor = _factor(J, rho, t)
 
-    dtheta = np.zeros(J.shape[1])
     lam = np.zeros(m)
     Jd = np.zeros(m)
     r_norm = s_norm = np.inf
@@ -83,17 +82,18 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     it = 0
     for it in range(1, cfg.max_iters + 1):
         mu = prox(F + Jd - lam / rho, kappa, loss)
-        dtheta_prev = dtheta
-        dtheta = scipy.linalg.cho_solve(factor, rho * (J.T @ (mu - F + lam / rho)))
+        mu_F = mu - F
+        dtheta = scipy.linalg.cho_solve(factor, rho * (J.T @ (mu_F + lam / rho)))
+        Jd_prev = Jd
         Jd = J @ dtheta
-        r = mu - F - Jd
+        r = mu_F - Jd
         lam = lam + rho * r
-        s = rho * (J @ (dtheta - dtheta_prev))
+        s = rho * (Jd - Jd_prev)
         r_norm = float(np.linalg.norm(r))
         s_norm = float(np.linalg.norm(s))
         if not (np.isfinite(r_norm) and np.isfinite(s_norm)):
             raise FloatingPointError("non-finite ADMM residuals")
-        tol = cfg.eps * max(np.linalg.norm(mu - F), np.linalg.norm(Jd))
+        tol = cfg.eps * max(np.linalg.norm(mu_F), np.linalg.norm(Jd))
         if r_norm <= tol and s_norm <= rho * tol:
             converged = True
             break

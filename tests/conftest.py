@@ -1,3 +1,8 @@
+# signet first, before numpy: its import sets the one-BLAS-thread default,
+# which applies only if numpy is not loaded yet, so the suite runs on the
+# thread count signet ships with.
+import signet  # noqa: F401
+
 import numpy as np
 import pytest
 

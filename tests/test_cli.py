@@ -2,11 +2,13 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from signet.cli import _solver_config, build_parser, main
 from signet.solvers import SolverConfig
@@ -56,7 +58,11 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
+        assert summary["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
         assert summary["q"] == 8
         assert summary["iterations"] <= 10
         assert summary["config"]["task"] == "franke"
@@ -236,14 +242,49 @@ class TestGenData:
         assert "error:" in capsys.readouterr().err
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(code, **thread_env):
+    """stdout of code run in a new interpreter whose only BLAS thread
+    variables are thread_env."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(thread_env, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True, env=env)
+    return proc.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_special_out():
     # scipy.special adds about 3.7 MB to a process's peak RSS, more than the
     # benchmark's 5% bound on peak_rss_mb; signet's sigmoid does without it.
     code = "import sys, signet.cli; print('scipy.special' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60, check=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert proc.stdout.strip() == "False"
+    assert _fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("thread_env, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "2"]),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, ["2", "2", "2"]),
+])
+def test_import_defaults_to_one_blas_thread(thread_env, expected):
+    code = ("import json, os, signet; print(json.dumps([os.environ.get(k) for k in "
+            f"{THREAD_VARS!r}] + [signet._blas_threads]))")
+    assert json.loads(_fresh_python(code, **thread_env)) == expected
+
+
+@pytest.mark.parametrize("numpy_first, expected", [(False, "1"), (True, None)])
+def test_run_records_blas_threads(tmp_path, numpy_first, expected):
+    # Imported after numpy, signet leaves the environment alone (its
+    # OpenBLAS has already read it) and records the thread count as unknown.
+    out = tmp_path / "o"
+    argv = ["run", "--task", "franke", "--q", "4", "--n-train", "20",
+            "--n-test", "5", "--max-outer", "3", "--out", str(out)]
+    code = ("import json, os\n" + ("import numpy\n" if numpy_first else "") +
+            f"from signet.cli import main\nassert main({argv!r}) == 0\n"
+            f"print(json.dumps([os.environ.get(k) for k in {THREAD_VARS!r}]))")
+    assert json.loads(_fresh_python(code).splitlines()[-1]) == [expected, expected]
+    assert _read_summary(out)["environment"]["blas_threads"] == expected
 
 
 class TestCompare:
@@ -268,3 +309,5 @@ class TestCompare:
         assert set(summary["final_objectives"]) == {"glpa", "sgdm",
                                                     "rmsprop", "adam"}
         assert all(np.isfinite(v) for v in summary["final_objectives"].values())
+        assert (summary["environment"]["blas_threads"]
+                == os.environ["OPENBLAS_NUM_THREADS"])
