@@ -28,7 +28,7 @@ from .model import NetworkShape, init_params, inner_eval, predict
 from .solvers import FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _f17(x: float) -> float:
@@ -115,9 +115,9 @@ def _load_task(args) -> tuple[data_mod.Dataset, data_mod.Dataset]:
                  if args.noise_sigma is not None else None)
         return data_mod.make_franke_datasets(args.n_train, args.n_test, noise)
     if args.task == "digits":
-        records = data_mod.load_digits_csv(args.data)
+        digits = data_mod.load_digits_csv(args.data)
         a, b = _parse_pair(args.pair)
-        return data_mod.make_binary_task(records, a, b, args.train_frac,
+        return data_mod.make_binary_task(digits, a, b, args.train_frac,
                                          args.seed, args.normalize)
     if args.task == "custom-csv":
         if args.data is None:
@@ -150,13 +150,13 @@ def _solver_config(args) -> SolverConfig:
                                         max_iters=args.admm_max_iters))
 
 
-def _fit(args, train, shape, loss, theta0) -> FitReport:
+def _fit(args, solver, train, shape, loss, theta0) -> FitReport:
     cfg = _solver_config(args)
-    if args.solver == "lpa":
+    if solver == "lpa":
         return lpa_fit(train.inputs, train.targets, shape, loss, cfg, theta0)
-    if args.solver == "glpa":
+    if solver == "glpa":
         return glpa_fit(train.inputs, train.targets, shape, loss, cfg, theta0)
-    return baseline_fit(train.inputs, train.targets, shape, loss, args.solver,
+    return baseline_fit(train.inputs, train.targets, shape, loss, solver,
                         theta0, lr=args.lr, momentum=args.momentum,
                         iters=args.iters)
 
@@ -210,7 +210,7 @@ def _environment() -> dict:
 def cmd_run(args) -> int:
     loss, train, test, shape, theta0 = _setup(args)
     started = time.perf_counter()
-    report = _fit(args, train, shape, loss, theta0)
+    report = _fit(args, args.solver, train, shape, loss, theta0)
     elapsed = time.perf_counter() - started
 
     out = Path(args.out)
@@ -229,7 +229,6 @@ def cmd_run(args) -> int:
         "adaptive_q": diagnostics.adaptive_network_size(train.m, train.d),
         "final_objective": _f17(report.final_objective),
         "iterations": len(report.trace),
-        "converged": report.converged,
         "stop_reason": report.stop_reason,
         "elapsed_s": _f17(elapsed),
         "jacobian_rank": rank,
@@ -263,23 +262,15 @@ def cmd_gen_data(args) -> int:
 
 def cmd_compare(args) -> int:
     loss, train, _, shape, theta0 = _setup(args)
-    cfg = _solver_config(args)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     finals = {}
-    report = glpa_fit(train.inputs, train.targets, shape, loss, cfg, theta0)
-    for rec in report.trace:
-        rows.append(("glpa", rec.k, rec.objective))
-    finals["glpa"] = report.final_objective
-    for name in ("sgdm", "rmsprop", "adam"):
-        rep = baseline_fit(train.inputs, train.targets, shape, loss, name,
-                           theta0, lr=args.lr, momentum=args.momentum,
-                           iters=args.iters)
-        for rec in rep.trace:
-            rows.append((name, rec.k, rec.objective))
-        finals[name] = rep.final_objective
+    for name in ("glpa", "sgdm", "rmsprop", "adam"):
+        report = _fit(args, name, train, shape, loss, theta0)
+        rows.extend((name, rec.k, rec.objective) for rec in report.trace)
+        finals[name] = report.final_objective
     with open(out / "compare.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["solver", "k", "objective"])

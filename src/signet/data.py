@@ -4,9 +4,10 @@ the positive-noise recipe, and digits CSV loading with binary-task splits.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 DIGITS_ASSET = "digits.csv"
+DIGITS_HEADER = [f"p{i}" for i in range(64)] + ["label"]
 
 
 class DataError(ValueError):
@@ -85,9 +87,9 @@ def halton(index: int, base: int) -> float:
     return result
 
 
-def halton_points(start: int, count: int, bases=(2, 3)) -> np.ndarray:
-    """count consecutive Halton points, indices start..start+count-1."""
-    return np.array([[halton(k, b) for b in bases]
+def halton_points(start: int, count: int) -> np.ndarray:
+    """count consecutive Halton points in bases 2 and 3 from index start."""
+    return np.array([[halton(k, b) for b in (2, 3)]
                      for k in range(start, start + count)])
 
 
@@ -119,55 +121,70 @@ def make_franke_datasets(n_train: int = 289, n_test: int = 121,
             Dataset(X_test, y_test, TaskKind.REGRESSION))
 
 
-def default_digits_path() -> Path:
-    return Path(str(resources.files("signet").joinpath("assets", DIGITS_ASSET)))
+def _parse_rows(lines) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # loadtxt's "no data"
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
-def load_digits_csv(path=None) -> list[tuple[np.ndarray, int]]:
-    """Parse the digits CSV (header p0..p63,label) into (pixels, label)
-    records, validating pixel range [0, 16] and label range 0..9."""
-    path = Path(path) if path is not None else default_digits_path()
+def _read_csv(path: Path, kind: str, header_ok, header_hint: str = "") -> np.ndarray:
+    """The rows below a CSV's header as one (rows, header columns) float
+    array. The rows are parsed in one pass; only if that pass fails or skips
+    a blank line are they parsed again one by one, to name the bad line."""
     if not path.exists():
-        raise DataError(f"digits file not found: {path}")
-    expected_header = [f"p{i}" for i in range(64)] + ["label"]
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise DataError(f"bad header in {path}: expected p0..p63,label")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 65:
-                raise DataError(f"{path}:{lineno}: expected 65 columns, got {len(row)}")
-            try:
-                pixels = np.array([float(v) for v in row[:64]])
-                label = int(row[64])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparsable value ({exc})") from exc
-            if not np.all((pixels >= 0) & (pixels <= 16)):     # also rejects NaN
-                raise DataError(f"{path}:{lineno}: pixel value outside [0, 16]")
-            if not 0 <= label <= 9:
-                raise DataError(f"{path}:{lineno}: label {label} outside 0..9")
-            records.append((pixels, label))
-    return records
+        raise DataError(f"{kind} file not found: {path}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",") if lines else []
+    if not header_ok(header):
+        raise DataError(f"bad header in {path}{header_hint}")
+    body, width = lines[1:], len(header)
+    with contextlib.suppress(ValueError):
+        values = _parse_rows(body)
+        if body and values.shape == (len(body), width):
+            return values
+    for lineno, line in enumerate(body, start=2):
+        try:
+            row = _parse_rows([line])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparsable value ({exc})") from exc
+        if row.size != width:
+            raise DataError(f"{path}:{lineno}: expected {width} columns, got {row.size}")
+    raise DataError(f"{path}:2: no data rows below the header")
 
 
-def make_binary_task(records, digit_pos: int, digit_neg: int,
+def load_digits_csv(path=None) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the digits CSV (header p0..p63,label) into pixels (N, 64) and
+    integer labels (N,), validating pixel range [0, 16] and label range 0..9."""
+    path = Path(path if path is not None
+                else resources.files("signet") / "assets" / DIGITS_ASSET)
+    values = _read_csv(path, "digits", lambda h: h == DIGITS_HEADER,
+                       ": expected p0..p63,label")
+    pixels, labels = values[:, :64], values[:, 64]
+    bad_pixels = ~np.all((pixels >= 0) & (pixels <= 16), axis=1)   # also NaN
+    bad_labels = ~np.isin(labels, np.arange(10))
+    i = int(np.argmax(bad_pixels | bad_labels))     # the first bad row, if any
+    if bad_pixels[i]:
+        raise DataError(f"{path}:{i + 2}: pixel value outside [0, 16]")
+    if bad_labels[i]:
+        raise DataError(f"{path}:{i + 2}: label {labels[i]:g} outside 0..9")
+    return pixels, labels.astype(int)
+
+
+def make_binary_task(digits, digit_pos: int, digit_neg: int,
                      train_fraction: float = 0.7, seed: int = 0,
                      normalize: bool = False) -> tuple[Dataset, Dataset]:
-    """Two-digit classification split: digit_pos -> +1, digit_neg -> -1,
-    split by split_dataset. The normalize flag divides pixels by 16."""
+    """Two-digit classification split of load_digits_csv's (pixels, labels):
+    the pair's rows in file order, digit_pos -> +1, digit_neg -> -1, split
+    by split_dataset. The normalize flag divides pixels by 16."""
+    pixels, labels = digits
     if digit_pos == digit_neg:
         raise DataError("the two digits must differ")
-    selected = [(px, +1.0 if lab == digit_pos else -1.0)
-                for px, lab in records if lab in (digit_pos, digit_neg)]
     for digit in (digit_pos, digit_neg):
-        if not any(lab == digit for _, lab in records):
-            raise DataError(f"digit {digit} absent from records")
-    X = np.array([px for px, _ in selected])
-    if normalize:
-        X = X / 16.0
-    full = Dataset(X, np.array([t for _, t in selected]), TaskKind.BINARY)
+        if not np.any(labels == digit):
+            raise DataError(f"digit {digit} absent from the labels")
+    keep = (labels == digit_pos) | (labels == digit_neg)
+    X = pixels[keep] / 16.0 if normalize else pixels[keep]
+    full = Dataset(X, np.where(labels[keep] == digit_pos, 1.0, -1.0), TaskKind.BINARY)
     return split_dataset(full, train_fraction, seed)
 
 
@@ -186,37 +203,19 @@ def split_dataset(ds: Dataset, train_fraction: float,
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:
-    """Write a dataset as x0..x{d-1},y rows with 17-significant-digit floats."""
-    path = Path(path)
+    """Write a dataset as x0..x{d-1},y rows of 17-significant-digit floats."""
+    header = ",".join([f"x{j}" for j in range(ds.d)] + ["y"])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(ds.d)] + ["y"])
-        for xi, yi in zip(ds.inputs, ds.targets):
-            writer.writerow([f"{v:.17g}" for v in xi] + [f"{yi:.17g}"])
+        np.savetxt(fh, np.column_stack([ds.inputs, ds.targets]), fmt="%.17g",
+                   delimiter=",", newline="\r\n", header=header, comments="")
 
 
 def load_dataset_csv(path, task: TaskKind = TaskKind.REGRESSION) -> Dataset:
     """Read a dataset written by save_dataset_csv; every cell must be a
     finite number."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "y":
-            raise DataError(f"bad header in {path}")
-        d = len(header) - 1
-        rows, targets = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise DataError(f"{path}:{lineno}: expected {d + 1} columns")
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparsable value ({exc})") from exc
-            if not all(map(math.isfinite, values)):
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            rows.append(values[:d])
-            targets.append(values[d])
-    return Dataset(np.array(rows), np.array(targets), task)
+    values = _read_csv(path, "dataset", lambda h: h[-1:] == ["y"])
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{bad[0] + 2}: non-finite value")
+    return Dataset(values[:, :-1], values[:, -1], task)

@@ -36,14 +36,14 @@ def classification_errors(theta, shape: NetworkShape, data: Dataset) -> int:
     return int(np.sum(np.sign(preds) != data.targets))
 
 
-def jacobian_rank(J: np.ndarray, tol_factor: float = 1e-10) -> tuple[int, bool]:
-    """Numerical rank by singular-value threshold tol_factor*max(m,n)*sigma_max;
+def jacobian_rank(J: np.ndarray) -> tuple[int, bool]:
+    """Numerical rank by singular-value threshold 1e-10*max(m,n)*sigma_max;
     also reports whether the matrix has full row rank."""
     J = np.asarray(J, dtype=float)
     if not np.all(np.isfinite(J)):
         raise FloatingPointError("non-finite entries in Jacobian")
     sv = np.linalg.svd(J, compute_uv=False)
-    threshold = tol_factor * max(J.shape) * (sv[0] if sv.size else 0.0)
+    threshold = 1e-10 * max(J.shape) * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > threshold))
     return rank, rank == J.shape[0]
 

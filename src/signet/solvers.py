@@ -49,7 +49,6 @@ class IterationRecord:
 class FitReport:
     theta_star: np.ndarray
     trace: list[IterationRecord]
-    converged: bool
     stop_reason: str        # "step_tol", "max_outer" or "line_search_failed"
     final_objective: float
 
@@ -106,7 +105,6 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
     theta = theta0.copy()
     trace: list[IterationRecord] = []
     start = time.perf_counter()
-    converged = False
     stop_reason = "max_outer"
     for k in range(cfg.max_outer):
         ev = inner_eval(theta, shape, inputs, targets, loss, jacobian=True)
@@ -131,7 +129,6 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
         trace.append(IterationRecord(k, obj, step_norm, eta, admm_iters,
                                      time.perf_counter() - start, accepted))
         if failed:
-            converged = False
             stop_reason = "line_search_failed"
             break
         if converged:
@@ -139,8 +136,8 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
             break
     final_objective = outer_value(
         inner_eval(theta, shape, inputs, targets, loss).F, loss)
-    return FitReport(theta_star=theta, trace=trace, converged=converged,
-                     stop_reason=stop_reason, final_objective=final_objective)
+    return FitReport(theta_star=theta, trace=trace, stop_reason=stop_reason,
+                     final_objective=final_objective)
 
 
 def lpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitReport:
@@ -204,5 +201,5 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
                                      time.perf_counter() - start))
     final_objective = outer_value(
         inner_eval(theta, shape, inputs, targets, loss).F, loss)
-    return FitReport(theta_star=theta, trace=trace, converged=False,
-                     stop_reason="max_outer", final_objective=final_objective)
+    return FitReport(theta_star=theta, trace=trace, stop_reason="max_outer",
+                     final_objective=final_objective)

@@ -7,6 +7,7 @@ is a behavior change, not a test fix.
 """
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,21 +27,45 @@ from conftest import finite_diff_jacobian, random_instance, scalar_loss
 from test_losses import golden_section_prox
 
 
+class Setup(NamedTuple):
+    """One acceptance configuration: solver settings, hidden-layer size, and
+    the init scheme and seed of the starting point (the seed also picks the
+    digits split). test_config_sources.py checks that scripts/ and
+    perfbench/workloads.py pass the CLI these same values."""
+    cfg: SolverConfig
+    q: int
+    init: str
+    seed: int
+
+
+FRANKE_QUADRATIC = Setup(SolverConfig(t=1e5, step_tol=1e-2, max_outer=500),
+                         q=72, init="uniform", seed=0)
+FRANKE_ABSOLUTE = Setup(SolverConfig(t=1e5, step_tol=1e-2, max_outer=500,
+                                     admm=AdmmConfig(rho=1e-2, eps=1e-2, max_iters=20)),
+                        q=72, init="wide", seed=2)
+DIGITS_HINGE = Setup(SolverConfig(t=1e5, step_tol=1e-2, max_outer=500,
+                                  admm=AdmmConfig(rho=1e-2, eps=1e-2, max_iters=10)),
+                     q=4, init="uniform", seed=0)
+OPTIMIZER_COMPARISON = DIGITS_HINGE._replace(
+    cfg=SolverConfig(t=1e5, step_tol=1e-2, max_outer=100,
+                     admm=AdmmConfig(rho=1e-2, eps=1e-2, max_iters=10)))
+
+
 @pytest.fixture(scope="module")
 def franke():
     return make_franke_datasets()
 
 
 @pytest.fixture(scope="module")
-def digit_records():
+def digits():
     return load_digits_csv()
 
 
 def test_criterion_1_franke_quadratic(franke):
     train, test = franke
-    shape = NetworkShape(d=2, q=72)
-    theta0 = init_params(shape, "uniform", seed=0)
-    cfg = SolverConfig(t=1e5, step_tol=1e-2, max_outer=500)
+    cfg, q, init, seed = FRANKE_QUADRATIC
+    shape = NetworkShape(d=2, q=q)
+    theta0 = init_params(shape, init, seed=seed)
     started = time.perf_counter()
     rep = lpa_fit(train.inputs, train.targets, shape, LossKind.QUADRATIC,
                   cfg, theta0)
@@ -55,10 +80,9 @@ def test_criterion_1_franke_quadratic(franke):
 @pytest.fixture(scope="module")
 def franke_absolute_run(franke):
     train, test = franke
-    shape = NetworkShape(d=2, q=72)
-    theta0 = init_params(shape, "wide", seed=2)
-    cfg = SolverConfig(t=1e5, step_tol=1e-2, max_outer=500,
-                       admm=AdmmConfig(rho=1e-2, eps=1e-2, max_iters=20))
+    cfg, q, init, seed = FRANKE_ABSOLUTE
+    shape = NetworkShape(d=2, q=q)
+    theta0 = init_params(shape, init, seed=seed)
     rep = glpa_fit(train.inputs, train.targets, shape, LossKind.ABSOLUTE,
                    cfg, theta0)
     return shape, rep, test
@@ -83,14 +107,13 @@ DIGIT_PAIRS = [((0, 1), (252, 108)), ((2, 5), (251, 108)),
 
 @pytest.mark.parametrize("pair,sizes", DIGIT_PAIRS,
                          ids=[f"{a}-{b}" for (a, b), _ in DIGIT_PAIRS])
-def test_criterion_3_digits_hinge(digit_records, pair, sizes):
-    train, test = make_binary_task(digit_records, *pair, seed=0,
+def test_criterion_3_digits_hinge(digits, pair, sizes):
+    cfg, q, init, seed = DIGITS_HINGE
+    train, test = make_binary_task(digits, *pair, seed=seed,
                                    normalize=True)
     assert (train.m, test.m) == sizes
-    shape = NetworkShape(d=64, q=4)
-    theta0 = init_params(shape, "uniform", seed=0)
-    cfg = SolverConfig(t=1e5, step_tol=1e-2, max_outer=500,
-                       admm=AdmmConfig(rho=1e-2, eps=1e-2, max_iters=10))
+    shape = NetworkShape(d=64, q=q)
+    theta0 = init_params(shape, init, seed=seed)
     started = time.perf_counter()
     rep = glpa_fit(train.inputs, train.targets, shape, LossKind.HINGE,
                    cfg, theta0)
@@ -100,12 +123,11 @@ def test_criterion_3_digits_hinge(digit_records, pair, sizes):
     assert elapsed <= 60.0
 
 
-def test_criterion_4_optimizer_comparison(digit_records):
-    train, _ = make_binary_task(digit_records, 0, 1, seed=0, normalize=True)
-    shape = NetworkShape(d=64, q=4)
-    theta0 = init_params(shape, "uniform", seed=0)
-    cfg = SolverConfig(t=1e5, step_tol=1e-2, max_outer=100,
-                       admm=AdmmConfig(rho=1e-2, eps=1e-2, max_iters=10))
+def test_criterion_4_optimizer_comparison(digits):
+    cfg, q, init, seed = OPTIMIZER_COMPARISON
+    train, _ = make_binary_task(digits, 0, 1, seed=seed, normalize=True)
+    shape = NetworkShape(d=64, q=q)
+    theta0 = init_params(shape, init, seed=seed)
     rep = glpa_fit(train.inputs, train.targets, shape, LossKind.HINGE,
                    cfg, theta0)
     assert len(rep.trace) <= 100

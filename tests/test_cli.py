@@ -58,7 +58,7 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 2
+        assert summary["schema_version"] == 3
         assert summary["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,

@@ -1,4 +1,7 @@
+import csv
 import math
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -99,11 +102,17 @@ class TestFrankeDatasets:
 
 class TestDigits:
     def test_bundled_file_record_count(self):
-        records = load_digits_csv()
-        assert len(records) == 1797
-        for px, lab in records[:10]:
-            assert px.shape == (64,)
-            assert 0 <= lab <= 9
+        pixels, labels = load_digits_csv()
+        assert pixels.shape == (1797, 64) and labels.shape == (1797,)
+        assert np.all((pixels >= 0) & (pixels <= 16))
+        assert np.issubdtype(labels.dtype, np.integer)
+        assert set(np.unique(labels)) == set(range(10))
+        # every row equals a row-by-row csv-module parse, the reference
+        path = resources.files("signet") / "assets" / "digits.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert np.array_equal(pixels, [[float(v) for v in row[:64]] for row in rows])
+        assert np.array_equal(labels, [int(row[64]) for row in rows])
 
     def test_malformed_rows_rejected(self, tmp_path):
         header = ",".join([f"p{i}" for i in range(64)] + ["label"])
@@ -124,6 +133,46 @@ class TestDigits:
         with pytest.raises(DataError, match="nan.csv:2: pixel value outside"):
             load_digits_csv(nan_pixel)
 
+    GOOD_ROW = ",".join(["1"] * 64 + ["3"])
+
+    @staticmethod
+    def _digits_file(path, *rows):
+        header = ",".join([f"p{i}" for i in range(64)] + ["label"])
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return path
+
+    def test_blank_line_rejected(self, tmp_path):
+        bad = self._digits_file(tmp_path / "blank.csv", self.GOOD_ROW, "",
+                                self.GOOD_ROW)
+        with pytest.raises(DataError, match=r"blank\.csv:3: expected 65 columns, got 0"):
+            load_digits_csv(bad)
+
+    def test_comment_row_rejected(self, tmp_path):
+        bad = self._digits_file(tmp_path / "hash.csv", self.GOOD_ROW,
+                                "#" + self.GOOD_ROW)
+        with pytest.raises(DataError, match=r"hash\.csv:3: unparsable value"):
+            load_digits_csv(bad)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        bad = self._digits_file(tmp_path / "empty.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # numpy's "no data" must not escape
+            with pytest.raises(DataError, match=r"empty\.csv:2: no data rows"):
+                load_digits_csv(bad)
+
+    def test_fractional_label_rejected(self, tmp_path):
+        bad = self._digits_file(tmp_path / "label.csv", self.GOOD_ROW,
+                                ",".join(["1"] * 64 + ["3.5"]))
+        with pytest.raises(DataError, match=r"label\.csv:3: label 3\.5 outside 0\.\.9"):
+            load_digits_csv(bad)
+
+    def test_first_bad_row_is_named(self, tmp_path):
+        bad = self._digits_file(tmp_path / "two.csv", self.GOOD_ROW,
+                                ",".join(["1"] * 64 + ["12"]),
+                                ",".join(["17"] + ["1"] * 63 + ["3"]))
+        with pytest.raises(DataError, match=r"two\.csv:3: label 12 outside"):
+            load_digits_csv(bad)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_digits_csv(tmp_path / "nope.csv")
@@ -133,29 +182,46 @@ class TestDigits:
         ((3, 7), (253, 109)), ((6, 9), (252, 109)),
     ])
     def test_paper_split_sizes(self, pair, sizes):
-        records = load_digits_csv()
-        train, test = make_binary_task(records, *pair, seed=0)
+        digits = load_digits_csv()
+        train, test = make_binary_task(digits, *pair, seed=0)
         assert (train.m, test.m) == sizes
 
+    def test_benchmark_set_up_call(self):
+        # the positional call the benchmark harness times as its set-up
+        train, test = make_binary_task(load_digits_csv(), 0, 1, 0.7, 0, True)
+        assert (train.m, test.m) == (252, 108)
+        assert train.inputs.max() <= 1.0
+
+    def test_pair_rows_in_file_order(self):
+        pixels, labels = load_digits_csv()
+        rows = np.flatnonzero(np.isin(labels, (3, 7)))
+        full, _ = make_binary_task((pixels, labels), 3, 7,
+                                   train_fraction=(rows.size - 1) / rows.size)
+        assert full.m == rows.size - 1
+        order = np.random.default_rng(0).permutation(rows.size)[:full.m]
+        assert np.array_equal(full.inputs, pixels[rows[order]])
+        assert np.array_equal(full.targets,
+                              np.where(labels[rows[order]] == 3, 1.0, -1.0))
+
     def test_label_mapping_and_reproducibility(self):
-        records = load_digits_csv()
-        a_train, a_test = make_binary_task(records, 3, 7, seed=11)
-        b_train, b_test = make_binary_task(records, 3, 7, seed=11)
+        digits = load_digits_csv()
+        a_train, a_test = make_binary_task(digits, 3, 7, seed=11)
+        b_train, b_test = make_binary_task(digits, 3, 7, seed=11)
         assert np.array_equal(a_train.inputs, b_train.inputs)
         assert np.array_equal(a_test.targets, b_test.targets)
         assert set(np.unique(a_train.targets)) == {-1.0, 1.0}
-        count = sum(1 for _, lab in records if lab in (3, 7))
+        count = int(np.sum(np.isin(digits[1], (3, 7))))
         assert a_train.m + a_test.m == count
 
     def test_same_digit_rejected(self):
-        records = load_digits_csv()
+        digits = load_digits_csv()
         with pytest.raises(DataError):
-            make_binary_task(records, 4, 4)
+            make_binary_task(digits, 4, 4)
 
     def test_normalize_flag(self):
-        records = load_digits_csv()
-        raw, _ = make_binary_task(records, 0, 1, seed=0)
-        norm, _ = make_binary_task(records, 0, 1, seed=0, normalize=True)
+        digits = load_digits_csv()
+        raw, _ = make_binary_task(digits, 0, 1, seed=0)
+        norm, _ = make_binary_task(digits, 0, 1, seed=0, normalize=True)
         assert np.allclose(norm.inputs, raw.inputs / 16.0)
         assert norm.inputs.max() <= 1.0
 
@@ -185,6 +251,29 @@ class TestCsvRoundTrip:
         bad.write_text("x0,y\n0.5,1.0\nabc,3.0\n")
         with pytest.raises(DataError, match=r"bad\.csv:3: unparsable"):
             load_dataset_csv(bad)
+
+    @pytest.mark.parametrize("body,message", [
+        ("0.5,1.0\n\n0.25,2.0\n", r"bad\.csv:3: expected 2 columns, got 0"),
+        ("0.5,1.0\n#0.25,2.0\n", r"bad\.csv:3: unparsable value"),
+        ("0.5,1.0\n0.25\n", r"bad\.csv:3: expected 2 columns, got 1"),
+        ("", r"bad\.csv:2: no data rows"),
+    ])
+    def test_bad_line_named(self, tmp_path, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,y\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                load_dataset_csv(bad)
+
+    def test_saved_bytes(self, tmp_path):
+        # 17 significant digits, shortest exponent form, CRLF line ends
+        ds = Dataset(np.array([[0.1, -0.0], [1 / 3, 1e-300]]), np.array([1.0, -1.0]),
+                     TaskKind.BINARY)
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(ds, path)
+        assert path.read_bytes() == (b"x0,x1,y\r\n0.10000000000000001,-0,1\r\n"
+                                     b"0.33333333333333331,1e-300,-1\r\n")
 
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
