@@ -37,20 +37,24 @@ class AdmmTrace:
 
 
 def _factor(J: np.ndarray, c: float, t: float):
-    """Cholesky factor of c J^T J + I/t, the matrix of both subsolvers."""
+    """Cholesky factor of K = I + t c J J^T (m x m), the matrix of both
+    subsolvers. With it, (c J^T J + I/t)^{-1} J^T = t J^T K^{-1}."""
     if t <= 0:
         raise ValueError(f"stepsize t must be positive, got {t}")
-    M = c * (J.T @ J)
-    M[np.diag_indices(J.shape[1])] += 1.0 / t
-    if not np.all(np.isfinite(M)):
+    with np.errstate(over="ignore", invalid="ignore"):   # caught just below
+        K = J @ J.T
+        K *= t * c
+    K[np.diag_indices_from(K)] += 1.0
+    if not np.all(np.isfinite(K)):
         raise FloatingPointError("non-finite entries in subproblem matrix")
-    return scipy.linalg.cho_factor(M, lower=True)
+    return scipy.linalg.cho_factor(K, lower=True, overwrite_a=True, check_finite=False)
 
 
 def lm_step(ev: ResidualEval, t: float) -> np.ndarray:
-    """Closed-form quadratic-loss step: solve ((2/m) J^T J + I/t) d = -(2/m) J^T F."""
+    """Closed-form quadratic-loss step d = -((2/m) J^T J + I/t)^{-1} (2/m) J^T F,
+    computed as d = -t c J^T K^{-1} F with c = 2/m."""
     c = 2.0 / ev.m
-    return scipy.linalg.cho_solve(_factor(ev.J, c, t), -(c * (ev.J.T @ ev.F)))
+    return -(t * c) * (ev.J.T @ scipy.linalg.cho_solve(_factor(ev.J, c, t), ev.F))
 
 
 def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
@@ -59,13 +63,16 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     s.t. mu = F + J dtheta.
 
     mu-update is the separable prox with kappa = 1/(m*rho); the dtheta-update
-    solves (rho J^T J + I/t) dtheta = rho J^T (mu - F + lambda/rho) with the
-    matrix factored once per call. Stops when the primal residual
-    mu - F - J dtheta and the dual residual divided by rho, the change in
-    J dtheta, are both at most eps * max(||mu - F||, ||J dtheta||): measured
-    against the size of the subproblem's own step, so that a small
-    subproblem does not pass at its first, cold-start iterate. Otherwise
-    returns the last iterate unconverged at max_iters.
+    solves (rho J^T J + I/t) dtheta = rho J^T w, w = mu - F + lambda/rho. It
+    runs in residual space: with K = I + t rho J J^T factored once per call,
+    z = K^{-1} w gives J dtheta = w - z and dtheta = t rho J^T z, so an
+    iteration is one m x m triangular solve pair and dtheta is formed once,
+    after the loop. Stops when the primal residual mu - F - J dtheta and the
+    dual residual divided by rho, the change in J dtheta, are both at most
+    eps * max(||mu - F||, ||J dtheta||): measured against the size of the
+    subproblem's own step, so that a small subproblem does not pass at its
+    first, cold-start iterate. Otherwise returns the last iterate unconverged
+    at max_iters.
     """
     if loss not in (LossKind.ABSOLUTE, LossKind.HINGE):
         raise ValueError(f"ADMM subsolver handles absolute/hinge losses, got {loss!r}")
@@ -83,9 +90,11 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     for it in range(1, cfg.max_iters + 1):
         mu = prox(F + Jd - lam / rho, kappa, loss)
         mu_F = mu - F
-        dtheta = scipy.linalg.cho_solve(factor, rho * (J.T @ (mu_F + lam / rho)))
+        w = mu_F + lam / rho
+        # K was checked when factored; a non-finite w fails the r_norm check
+        z = scipy.linalg.cho_solve(factor, w, check_finite=False)
         Jd_prev = Jd
-        Jd = J @ dtheta
+        Jd = w - z
         r = mu_F - Jd
         lam = lam + rho * r
         s = rho * (Jd - Jd_prev)
@@ -99,7 +108,7 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
             break
     trace = AdmmTrace(iterations=it, final_primal_residual_norm=r_norm,
                       final_dual_residual_norm=s_norm, converged=converged)
-    return dtheta, trace
+    return (t * rho) * (J.T @ z), trace
 
 
 def subproblem_model_value(ev: ResidualEval, dtheta: np.ndarray, t: float,

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from signet.losses import LossKind
+from signet.losses import LossKind, prox
 from signet.model import ResidualEval
-from signet.subsolvers import (AdmmConfig, admm_solve, lm_step,
+from signet.subsolvers import (AdmmConfig, AdmmTrace, admm_solve, lm_step,
                                subproblem_model_value)
 
 from conftest import random_instance, scalar_loss
@@ -12,6 +12,31 @@ from conftest import random_instance, scalar_loss
 
 def _random_eval(rng, m, n, scale=1.0):
     return ResidualEval(F=rng.normal(size=m) * scale, J=rng.normal(size=(m, n)))
+
+
+def reference_admm(ev, t, loss, cfg):
+    """The same ADMM iteration in parameter space: factors rho J^T J + I/t
+    (n x n) and forms J dtheta = J solve(rho J^T w) every iteration. The
+    oracle for admm_solve's residual-space form."""
+    J, F, m, n = ev.J, ev.F, ev.m, ev.J.shape[1]
+    rho = cfg.rho
+    factor = scipy.linalg.cho_factor(rho * (J.T @ J) + np.eye(n) / t, lower=True)
+    lam, Jd = np.zeros(m), np.zeros(m)
+    converged = False
+    for it in range(1, cfg.max_iters + 1):
+        mu = prox(F + Jd - lam / rho, 1.0 / (m * rho), loss)
+        mu_F = mu - F
+        dtheta = scipy.linalg.cho_solve(factor, rho * (J.T @ (mu_F + lam / rho)))
+        Jd_prev, Jd = Jd, J @ dtheta
+        r = mu_F - Jd
+        lam = lam + rho * r
+        r_norm = float(np.linalg.norm(r))
+        s_norm = float(np.linalg.norm(rho * (Jd - Jd_prev)))
+        tol = cfg.eps * max(np.linalg.norm(mu_F), np.linalg.norm(Jd))
+        if r_norm <= tol and s_norm <= rho * tol:
+            converged = True
+            break
+    return dtheta, AdmmTrace(it, r_norm, s_norm, converged)
 
 
 class TestLmStep:
@@ -47,6 +72,19 @@ class TestLmStep:
         ev = _random_eval(rng, 3, 3)
         with pytest.raises(ValueError):
             lm_step(ev, 0.0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda ev: lm_step(ev, 10.0),
+    lambda ev: admm_solve(ev, 10.0, LossKind.ABSOLUTE, AdmmConfig()),
+], ids=["lm_step", "admm_solve"])
+def test_overflowing_gram_matrix_raises(rng, solve):
+    # J is finite but J J^T overflows: the subproblem-matrix guard, the only
+    # finiteness check ahead of the Cholesky factorization, must catch it
+    ev = ResidualEval(F=rng.normal(size=5), J=rng.normal(size=(5, 7)) * 1e160)
+    assert np.all(np.isfinite(ev.J))
+    with pytest.raises(FloatingPointError, match="subproblem matrix"):
+        solve(ev)
 
 
 class TestAdmm:
@@ -120,18 +158,47 @@ class TestAdmm:
 
     def test_factorization_happens_once(self, rng, monkeypatch):
         import signet.subsolvers as sub
-        calls = {"n": 0}
-        real = scipy.linalg.cho_factor
+        calls = {"cho_factor": 0, "cho_solve": 0}
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(scipy.linalg, name)
 
-        monkeypatch.setattr(sub.scipy.linalg, "cho_factor", counting)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(sub.scipy.linalg, name, counting(name))
         ev = _random_eval(rng, 8, 8)
-        admm_solve(ev, 10.0, LossKind.ABSOLUTE,
-                   AdmmConfig(rho=0.1, eps=1e-12, max_iters=50))
-        assert calls["n"] == 1
+        _, tr = admm_solve(ev, 10.0, LossKind.ABSOLUTE,
+                           AdmmConfig(rho=0.1, eps=1e-12, max_iters=50))
+        assert calls["cho_factor"] == 1
+        assert calls["cho_solve"] == tr.iterations == 50
+
+    @pytest.mark.parametrize("loss", [LossKind.ABSOLUTE, LossKind.HINGE])
+    @pytest.mark.parametrize("m, n", [(6, 10), (8, 8), (12, 5)],
+                             ids=["m<n", "m=n", "m>n"])
+    @pytest.mark.parametrize("t, cfg", [
+        (10.0, AdmmConfig(rho=0.5, eps=1e-6, max_iters=5000)),
+        (1e5, AdmmConfig(rho=1e-2, eps=1e-2, max_iters=20)),
+    ], ids=["eps=1e-6", "cap=20"])
+    def test_matches_parameter_space_reference(self, rng, m, n, loss, t, cfg):
+        ev = _random_eval(rng, m, n)
+        if loss is LossKind.HINGE:
+            ev = ResidualEval(F=1.0 + ev.F, J=ev.J)
+        d, tr = admm_solve(ev, t, loss, cfg)
+        d_ref, ref = reference_admm(ev, t, loss, cfg)
+        assert (tr.iterations, tr.converged) == (ref.iterations, ref.converged)
+        np.testing.assert_allclose(d, d_ref, rtol=1e-8,
+                                   atol=1e-8 * np.linalg.norm(d_ref))
+        # a converged residual is ~eps of the step and formed by cancellation,
+        # so it is compared to 1e-8 relative or 1e-13 of the step's size
+        scale = np.linalg.norm(ev.J @ d_ref)
+        assert tr.final_primal_residual_norm == pytest.approx(
+            ref.final_primal_residual_norm, rel=1e-8, abs=1e-13 * scale)
+        assert tr.final_dual_residual_norm == pytest.approx(
+            ref.final_dual_residual_norm, rel=1e-8, abs=1e-13 * scale)
 
 
 class TestModelValue:
