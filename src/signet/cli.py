@@ -28,12 +28,7 @@ from .model import NetworkShape, init_params, inner_eval, predict
 from .solvers import FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 3
-
-
-def _f17(x: float) -> float:
-    # round-trip through 17 significant digits (the serialization contract)
-    return float(f"{x:.17g}")
+SCHEMA_VERSION = 4
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -59,14 +54,11 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--t", type=float, default=SolverConfig.t)
     p.add_argument("--step-tol", type=float, default=SolverConfig.step_tol)
     p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
-    p.add_argument("--c", type=float, default=SolverConfig.c)
-    p.add_argument("--tau", type=float, default=SolverConfig.tau)
-    p.add_argument("--max-backtracks", type=int, default=SolverConfig.max_backtracks)
     p.add_argument("--rho", type=float, default=AdmmConfig.rho)
     p.add_argument("--eps", type=float, default=AdmmConfig.eps,
                    help="ADMM residual tolerance, relative to the step's size")
     p.add_argument("--admm-max-iters", type=int, default=AdmmConfig.max_iters)
-    p.add_argument("--init", choices=["zero", "uniform", "wide"], default="uniform")
+    p.add_argument("--init", choices=["uniform", "wide"], default="uniform")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--iters", type=int, default=1000,
@@ -145,31 +137,38 @@ def _setup(args):
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(t=args.t, step_tol=args.step_tol, max_outer=args.max_outer,
-                        c=args.c, tau=args.tau, max_backtracks=args.max_backtracks,
                         admm=AdmmConfig(rho=args.rho, eps=args.eps,
                                         max_iters=args.admm_max_iters))
 
 
 def _fit(args, solver, train, shape, loss, theta0) -> FitReport:
-    cfg = _solver_config(args)
-    if solver == "lpa":
-        return lpa_fit(train.inputs, train.targets, shape, loss, cfg, theta0)
-    if solver == "glpa":
-        return glpa_fit(train.inputs, train.targets, shape, loss, cfg, theta0)
+    # the baselines take no solver config, so its checks must not stop their runs
+    if solver in ("lpa", "glpa"):
+        fit = lpa_fit if solver == "lpa" else glpa_fit
+        return fit(train.inputs, train.targets, shape, loss, _solver_config(args),
+                   theta0)
     return baseline_fit(train.inputs, train.targets, shape, loss, solver,
                         theta0, lr=args.lr, momentum=args.momentum,
                         iters=args.iters)
 
 
-def _write_trace(report: FitReport, path: Path):
+def _write_csv(path: Path, header: list[str], rows):
+    """Float cells get 17 significant digits, so they read back bitwise."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "objective", "step_norm", "eta", "admm_iters",
-                         "elapsed_s"])
-        for rec in report.trace:
-            writer.writerow([rec.k, f"{rec.objective:.17g}",
-                             f"{rec.step_norm:.17g}", f"{rec.eta:.17g}",
-                             rec.admm_iters, f"{rec.elapsed:.17g}"])
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def _write_json(path: Path, args, fields: dict):
+    """A result summary: the schema version, the command's flags, the
+    environment, then fields."""
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema_version": SCHEMA_VERSION, "config": config,
+                   "environment": _environment(), **fields}, fh, indent=2)
+        fh.write("\n")
 
 
 def _metrics(theta, shape, train, test):
@@ -183,20 +182,11 @@ def _metrics(theta, shape, train, test):
     pred_tr = predict(theta, shape, train.inputs)
     pred_te = predict(theta, shape, test.inputs)
     return {
-        "train_rms_error": _f17(diagnostics.rms_error(pred_tr, train.targets)),
-        "train_max_error": _f17(diagnostics.max_error(pred_tr, train.targets)),
-        "test_rms_error": _f17(diagnostics.rms_error(pred_te, test.targets)),
-        "test_max_error": _f17(diagnostics.max_error(pred_te, test.targets)),
+        "train_rms_error": diagnostics.rms_error(pred_tr, train.targets),
+        "train_max_error": diagnostics.max_error(pred_tr, train.targets),
+        "test_rms_error": diagnostics.rms_error(pred_te, test.targets),
+        "test_max_error": diagnostics.max_error(pred_te, test.targets),
     }
-
-
-def _config_echo(args) -> dict:
-    echo = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "command":
-            continue
-        echo[key] = _f17(value) if isinstance(value, float) else value
-    return echo
 
 
 def _environment() -> dict:
@@ -215,35 +205,28 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_trace(report, out / "trace.csv")
+    _write_csv(out / "trace.csv",
+               ["k", "objective", "step_norm", "eta", "admm_iters", "elapsed_s"],
+               ((r.k, r.objective, r.step_norm, r.eta, r.admm_iters, r.elapsed)
+                for r in report.trace))
 
     ev = inner_eval(report.theta_star, shape, train.inputs, train.targets, loss,
                     jacobian=True)
     rank, full_row_rank = diagnostics.jacobian_rank(ev.J)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _config_echo(args),
-        "environment": _environment(),
+    _write_json(out / "summary.json", args, {
         "q": shape.q,
         "n_params": shape.n,
         "adaptive_q": diagnostics.adaptive_network_size(train.m, train.d),
-        "final_objective": _f17(report.final_objective),
+        "final_objective": report.final_objective,
         "iterations": len(report.trace),
         "stop_reason": report.stop_reason,
-        "elapsed_s": _f17(elapsed),
+        "elapsed_s": elapsed,
         "jacobian_rank": rank,
         "full_row_rank": full_row_rank,
         "metrics": _metrics(report.theta_star, shape, train, test),
-    }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    })
     if args.save_model:
-        with open(out / "model.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta"])
-            for v in report.theta_star:
-                writer.writerow([f"{v:.17g}"])
+        _write_csv(out / "model.csv", ["theta"], ((v,) for v in report.theta_star))
     print(f"wrote {out / 'summary.json'} (final objective "
           f"{report.final_objective:.6g}, {len(report.trace)} iterations)")
     return 0
@@ -271,18 +254,8 @@ def cmd_compare(args) -> int:
         report = _fit(args, name, train, shape, loss, theta0)
         rows.extend((name, rec.k, rec.objective) for rec in report.trace)
         finals[name] = report.final_objective
-    with open(out / "compare.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "k", "objective"])
-        for solver, k, obj in rows:
-            writer.writerow([solver, k, f"{obj:.17g}"])
-    with open(out / "compare_summary.json", "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION,
-                   "config": _config_echo(args),
-                   "environment": _environment(),
-                   "final_objectives": {k: _f17(v) for k, v in finals.items()}},
-                  fh, indent=2)
-        fh.write("\n")
+    _write_csv(out / "compare.csv", ["solver", "k", "objective"], rows)
+    _write_json(out / "compare_summary.json", args, {"final_objectives": finals})
     print("final objectives: " +
           ", ".join(f"{k}={v:.6g}" for k, v in finals.items()))
     return 0

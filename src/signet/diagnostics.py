@@ -10,21 +10,22 @@ from .data import Dataset, TaskKind
 from .model import NetworkShape, predict
 
 
-def rms_error(pred, actual) -> float:
-    """sqrt(mean squared difference)."""
+def _difference(pred, actual) -> np.ndarray:
+    """pred - actual, for two non-empty vectors of the same length."""
     pred = np.asarray(pred, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if pred.shape != actual.shape or pred.ndim != 1 or pred.size == 0:
         raise ValueError(f"bad shapes {pred.shape} vs {actual.shape}")
-    return float(np.sqrt(np.mean((pred - actual) ** 2)))
+    return pred - actual
+
+
+def rms_error(pred, actual) -> float:
+    """sqrt(mean squared difference)."""
+    return float(np.sqrt(np.mean(_difference(pred, actual) ** 2)))
 
 
 def max_error(pred, actual) -> float:
-    pred = np.asarray(pred, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if pred.shape != actual.shape or pred.ndim != 1 or pred.size == 0:
-        raise ValueError(f"bad shapes {pred.shape} vs {actual.shape}")
-    return float(np.max(np.abs(pred - actual)))
+    return float(np.max(np.abs(_difference(pred, actual))))
 
 
 def classification_errors(theta, shape: NetworkShape, data: Dataset) -> int:

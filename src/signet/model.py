@@ -95,11 +95,9 @@ def split_params(theta: np.ndarray, shape: NetworkShape):
 
 
 def init_params(shape: NetworkShape, kind: str = "uniform", seed: int = 0) -> np.ndarray:
-    """Starting point: 'zero'; seeded 'uniform' entries in [-0.5, 0.5]; or
-    seeded 'wide', uniform in [-0.5, 0.5] with the hidden-layer weights and
-    biases redrawn in [-5, 5]."""
-    if kind == "zero":
-        return np.zeros(shape.n)
+    """Starting point: seeded 'uniform' entries in [-0.5, 0.5]; or seeded
+    'wide', uniform in [-0.5, 0.5] with the hidden-layer weights and biases
+    redrawn in [-5, 5]."""
     if kind == "uniform":
         rng = np.random.default_rng(seed)
         return rng.uniform(-0.5, 0.5, size=shape.n)

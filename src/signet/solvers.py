@@ -16,22 +16,20 @@ from .model import NetworkShape, ResidualEval, inner_eval
 from .subsolvers import AdmmConfig, admm_solve, lm_step, subproblem_model_value
 
 
-@dataclass
+# line search: sufficient-decrease fraction, step shrink factor, trial cap
+C, TAU, MAX_BACKTRACKS = 1e-3, 0.5, 10
+
+
+@dataclass(frozen=True)
 class SolverConfig:
     t: float = 1e5
     step_tol: float = 1e-2
     max_outer: int = 500
-    c: float = 1e-3
-    tau: float = 0.5
-    max_backtracks: int = 10
     admm: AdmmConfig = field(default_factory=AdmmConfig)
 
-    def validate(self):
-        if self.t <= 0 or not (0 < self.c < 1) or not (0 < self.tau < 1):
+    def __post_init__(self):
+        if self.t <= 0 or self.step_tol < 0 or self.max_outer < 1:
             raise ValueError(f"invalid solver config {self}")
-        if self.step_tol < 0 or self.max_outer < 1 or self.max_backtracks < 1:
-            raise ValueError(f"invalid solver config {self}")
-        self.admm.validate()
 
 
 @dataclass
@@ -62,11 +60,11 @@ def _solve_subproblem(ev: ResidualEval, loss: LossKind, cfg: SolverConfig):
 
 def backtrack(theta_k, dtheta_k, ev_k: ResidualEval, loss: LossKind,
               cfg: SolverConfig, shape: NetworkShape, inputs, targets):
-    """Find the largest eta in {1, tau, tau^2, ...} satisfying the
-    sufficient-decrease rule
+    """Find the largest eta in {1, TAU, TAU^2, ...} (at most MAX_BACKTRACKS
+    trials) satisfying the sufficient-decrease rule
 
         outer(F(theta + eta*d)) - outer(F(theta))
-            <= c * eta * (model(d) - outer(F(theta))),
+            <= C * eta * (model(d) - outer(F(theta))),
 
     where model(d) is the subproblem objective at d. A non-finite trial
     objective or model value fails the rule. Returns (eta, trial_count,
@@ -79,23 +77,22 @@ def backtrack(theta_k, dtheta_k, ev_k: ResidualEval, loss: LossKind,
     # an overflowing step gives non-finite values here, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         predicted = subproblem_model_value(ev_k, dtheta_k, cfg.t, loss) - obj_k
-        for trial in range(1, cfg.max_backtracks + 1):
+        for trial in range(1, MAX_BACKTRACKS + 1):
             try:
                 obj = outer_value(inner_eval(theta_k + eta * dtheta_k, shape,
                                              inputs, targets, loss).F, loss)
             except FloatingPointError:      # non-finite residuals
                 obj = math.inf
             if (math.isfinite(obj) and math.isfinite(predicted)
-                    and obj - obj_k <= cfg.c * eta * predicted):
+                    and obj - obj_k <= C * eta * predicted):
                 return eta, trial, True
-            if trial < cfg.max_backtracks:
-                eta *= cfg.tau
-    return (eta if math.isfinite(obj) else 0.0), cfg.max_backtracks, False
+            if trial < MAX_BACKTRACKS:
+                eta *= TAU
+    return (eta if math.isfinite(obj) else 0.0), MAX_BACKTRACKS, False
 
 
 def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig,
          theta0: np.ndarray, line_search: bool) -> FitReport:
-    cfg.validate()
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (shape.n,):
         raise ValueError(f"theta0 has shape {theta0.shape}, expected ({shape.n},)")

@@ -17,13 +17,13 @@ from .losses import LossKind, outer_value, prox
 from .model import ResidualEval
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmmConfig:
     rho: float = 1e-2
     eps: float = 1e-2       # relative residual tolerance, see admm_solve
     max_iters: int = 20
 
-    def validate(self):
+    def __post_init__(self):
         if self.rho <= 0 or self.eps <= 0 or self.max_iters < 1:
             raise ValueError(f"invalid ADMM config {self}")
 
@@ -76,7 +76,6 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     """
     if loss not in (LossKind.ABSOLUTE, LossKind.HINGE):
         raise ValueError(f"ADMM subsolver handles absolute/hinge losses, got {loss!r}")
-    cfg.validate()
     J, F, m = ev.J, ev.F, ev.m
     rho = cfg.rho
     kappa = 1.0 / (m * rho)

@@ -11,7 +11,11 @@ import pytest
 import scipy
 
 from signet.cli import _solver_config, build_parser, main
-from signet.solvers import SolverConfig
+from signet.data import make_franke_datasets
+from signet.diagnostics import max_error, rms_error
+from signet.losses import LossKind
+from signet.model import NetworkShape, init_params, predict
+from signet.solvers import SolverConfig, glpa_fit
 
 
 def _read_summary(out):
@@ -43,10 +47,14 @@ class TestParser:
         args = build_parser().parse_args(["run", "--task", "franke"])
         assert _solver_config(args) == SolverConfig()
 
-    def test_unknown_solver_rejected(self):
+    # the line-search constants and the zero start are not settable
+    @pytest.mark.parametrize("flag", [
+        ["--solver", "newton"], ["--c", "0.1"], ["--tau", "0.5"],
+        ["--max-backtracks", "5"], ["--init", "zero"],
+    ], ids=["solver", "c", "tau", "max-backtracks", "init-zero"])
+    def test_unknown_solver_rejected(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--task", "franke",
-                                       "--solver", "newton"])
+            build_parser().parse_args(["run", "--task", "franke", *flag])
 
 
 class TestRun:
@@ -58,7 +66,7 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 3
+        assert summary["schema_version"] == 4
         assert summary["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -93,6 +101,44 @@ class TestRun:
         assert rows[0] == ["theta"]
         theta = np.array([float(r[0]) for r in rows[1:]])
         assert theta.shape == ((2 + 2) * 4 + 1,)
+
+    def test_written_values_read_back_bitwise(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--task", "franke", "--loss", "absolute",
+                     "--solver", "glpa", "--q", "4", "--n-train", "20",
+                     "--n-test", "5", "--max-outer", "5", "--save-model",
+                     "--out", str(out)]) == 0
+        train, test = make_franke_datasets(20, 5)
+        shape = NetworkShape(d=2, q=4)
+        report = glpa_fit(train.inputs, train.targets, shape, LossKind.ABSOLUTE,
+                          SolverConfig(max_outer=5), init_params(shape, "uniform", 0))
+
+        for name in ("trace.csv", "model.csv"):
+            lines = (out / name).read_bytes().split(b"\r\n")
+            assert lines[-1] == b"" and not any(b"\n" in ln for ln in lines)
+        trace = _read_trace(out)
+        assert len(trace) == len(report.trace)
+        for row, rec in zip(trace, report.trace):
+            assert (row["k"], row["admm_iters"]) == (str(rec.k), str(rec.admm_iters))
+            assert [row["objective"], row["step_norm"], row["eta"]] == [
+                f"{v:.17g}" for v in (rec.objective, rec.step_norm, rec.eta)]
+            assert row["elapsed_s"] == f"{float(row['elapsed_s']):.17g}"
+        with open(out / "model.csv", newline="", encoding="utf-8") as fh:
+            cells = [row[0] for row in csv.reader(fh)][1:]
+        assert cells == [f"{v:.17g}" for v in report.theta_star]
+
+        summary = _read_summary(out)
+        pred = predict(report.theta_star, shape, test.inputs)
+        expected = {"final_objective": report.final_objective,
+                    "test_rms_error": rms_error(pred, test.targets),
+                    "test_max_error": max_error(pred, test.targets),
+                    "t": 1e5}
+        written = {"final_objective": summary["final_objective"],
+                   "test_rms_error": summary["metrics"]["test_rms_error"],
+                   "test_max_error": summary["metrics"]["test_max_error"],
+                   "t": summary["config"]["t"]}
+        assert {k: v.hex() for k, v in written.items()} == \
+               {k: v.hex() for k, v in expected.items()}
 
     def test_adaptive_q_used_when_not_given(self, tmp_path):
         out = tmp_path / "o"
@@ -133,6 +179,14 @@ class TestRun:
         ta = [(r["k"], r["objective"], r["step_norm"]) for r in _read_trace(a)]
         tb = [(r["k"], r["objective"], r["step_norm"]) for r in _read_trace(b)]
         assert ta == tb
+
+    def test_solver_config_checked_only_for_lpa_and_glpa(self, tmp_path, capsys):
+        # the baselines take no solver config, so a bad --t does not stop them
+        argv = ["run", "--task", "franke", "--t", "-1", "--q", "4", "--n-train",
+                "20", "--n-test", "5", "--iters", "5", "--out", str(tmp_path / "o")]
+        assert main(argv + ["--solver", "adam"]) == 0
+        assert main(argv + ["--solver", "glpa"]) == 1
+        assert "invalid solver config" in capsys.readouterr().err
 
     def test_baseline_solver_runs(self, tmp_path):
         out = tmp_path / "o"

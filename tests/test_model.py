@@ -231,4 +231,3 @@ def test_init_params_deterministic():
     b = init_params(shape, "uniform", seed=42)
     assert np.array_equal(a, b)
     assert np.all(np.abs(a) <= 0.5)
-    assert np.array_equal(init_params(shape, "zero"), np.zeros(shape.n))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ class TestBacktrack:
         d = np.ones(shape.n) * 50.0
         eta, evals, accepted = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
                                          shape, X, y)
-        assert eta == pytest.approx(cfg.tau ** (evals - 1))
+        assert eta == pytest.approx(solvers_mod.TAU ** (evals - 1))
 
     def test_non_finite_trial_shrinks_step(self, rng, monkeypatch):
         shape, X, y, theta, ev = self._setup(rng)
@@ -141,14 +143,14 @@ class TestBacktrack:
         monkeypatch.setattr(solvers_mod, "inner_eval", first_trial_non_finite)
         # the unit step would pass (test_full_step_accepted_when_rule_holds)
         assert backtrack(theta, d, ev, LossKind.QUADRATIC, cfg, shape, X, y) == \
-            (cfg.tau, 2, True)
+            (solvers_mod.TAU, 2, True)
 
     def test_all_trials_non_finite(self, rng):
         shape, X, y, theta, ev = self._setup(rng)
         cfg = SolverConfig(t=1.0)
         d = np.full(shape.n, 1e308)
         assert backtrack(theta, d, ev, LossKind.QUADRATIC, cfg, shape, X, y) == \
-            (0.0, cfg.max_backtracks, False)
+            (0.0, solvers_mod.MAX_BACKTRACKS, False)
 
     def test_accepted_steps_descend(self, rng):
         shape = NetworkShape(d=1, q=2)
@@ -243,14 +245,18 @@ class TestGlpa:
         assert [(r.k, r.objective, r.step_norm, r.eta) for r in a.trace] == \
                [(r.k, r.objective, r.step_norm, r.eta) for r in b.trace]
 
-    def test_invalid_config_rejected(self, rng):
-        shape, X, y = _one_point_problem()
+    def test_invalid_config_rejected(self):
+        # a config is checked once, when built, and cannot be changed after
         with pytest.raises(ValueError):
-            glpa_fit(X, y, shape, LossKind.QUADRATIC, SolverConfig(t=-1.0),
-                     np.zeros(shape.n))
+            SolverConfig(t=-1.0)
         with pytest.raises(ValueError):
-            glpa_fit(X, y, shape, LossKind.QUADRATIC, SolverConfig(tau=1.5),
-                     np.zeros(shape.n))
+            SolverConfig(max_outer=0)
+        with pytest.raises(ValueError):
+            AdmmConfig(rho=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SolverConfig().t = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SolverConfig().admm.rho = 0.0
 
 
 class TestBaselines:
