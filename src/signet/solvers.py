@@ -28,7 +28,8 @@ class SolverConfig:
     admm: AdmmConfig = field(default_factory=AdmmConfig)
 
     def __post_init__(self):
-        if self.t <= 0 or self.step_tol < 0 or self.max_outer < 1:
+        # written so that NaN fails too
+        if not (self.t > 0 and self.step_tol >= 0 and self.max_outer >= 1):
             raise ValueError(f"invalid solver config {self}")
 
 
@@ -157,7 +158,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
     """Full-batch SGDM / RMSProp / Adam on the training objective, using the
     analytic (sub)gradient J^T outer_gradient(F), formed without building J.
     Deterministic: no minibatch sampling."""
-    if lr <= 0 or iters < 1:
+    if not (lr > 0 and iters >= 1):
         raise ValueError(f"invalid hyperparameters lr={lr}, iters={iters}")
     optimizer = optimizer.lower()
     if optimizer not in ("sgdm", "rmsprop", "adam"):

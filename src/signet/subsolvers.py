@@ -8,10 +8,12 @@ and hinge losses are handled by ADMM with closed-form proximal updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .losses import LossKind, outer_value, prox
 from .model import ResidualEval
@@ -24,7 +26,8 @@ class AdmmConfig:
     max_iters: int = 20
 
     def __post_init__(self):
-        if self.rho <= 0 or self.eps <= 0 or self.max_iters < 1:
+        # written so that NaN fails too
+        if not (self.rho > 0 and self.eps > 0 and self.max_iters >= 1):
             raise ValueError(f"invalid ADMM config {self}")
 
 
@@ -37,9 +40,13 @@ class AdmmTrace:
 
 
 def _factor(J: np.ndarray, c: float, t: float):
-    """Cholesky factor of K = I + t c J J^T (m x m), the matrix of both
-    subsolvers. With it, (c J^T J + I/t)^{-1} J^T = t J^T K^{-1}."""
-    if t <= 0:
+    """Lower Cholesky factor of K = I + t c J J^T (m x m), the matrix of both
+    subsolvers, for dpotrs. With it, (c J^T J + I/t)^{-1} J^T = t J^T K^{-1}.
+    J @ J.T is exactly symmetric (numpy forms it with syrk), so K.T is K in
+    Fortran order: LAPACK factors it in place, with no transposed copy.
+    dpotrs reports an error only for an illegal argument, which its f2py
+    shape checks rule out, so callers drop its info."""
+    if not t > 0:
         raise ValueError(f"stepsize t must be positive, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):   # caught just below
         K = J @ J.T
@@ -47,14 +54,16 @@ def _factor(J: np.ndarray, c: float, t: float):
     K[np.diag_indices_from(K)] += 1.0
     if not np.all(np.isfinite(K)):
         raise FloatingPointError("non-finite entries in subproblem matrix")
-    return scipy.linalg.cho_factor(K, lower=True, overwrite_a=True, check_finite=False)
+    return scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
+                                   check_finite=False)[0]
 
 
 def lm_step(ev: ResidualEval, t: float) -> np.ndarray:
     """Closed-form quadratic-loss step d = -((2/m) J^T J + I/t)^{-1} (2/m) J^T F,
     computed as d = -t c J^T K^{-1} F with c = 2/m."""
     c = 2.0 / ev.m
-    return -(t * c) * (ev.J.T @ scipy.linalg.cho_solve(_factor(ev.J, c, t), ev.F))
+    z, _ = dpotrs(_factor(ev.J, c, t), ev.F, lower=1)
+    return -(t * c) * (ev.J.T @ z)
 
 
 def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
@@ -79,7 +88,7 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     J, F, m = ev.J, ev.F, ev.m
     rho = cfg.rho
     kappa = 1.0 / (m * rho)
-    factor = _factor(J, rho, t)
+    L = _factor(J, rho, t)
 
     lam = np.zeros(m)
     Jd = np.zeros(m)
@@ -87,21 +96,22 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        mu = prox(F + Jd - lam / rho, kappa, loss)
+        lam_rho = lam / rho
+        mu = prox(F + Jd - lam_rho, kappa, loss)
         mu_F = mu - F
-        w = mu_F + lam / rho
+        w = mu_F + lam_rho
         # K was checked when factored; a non-finite w fails the r_norm check
-        z = scipy.linalg.cho_solve(factor, w, check_finite=False)
+        z, _ = dpotrs(L, w, lower=1)
         Jd_prev = Jd
         Jd = w - z
         r = mu_F - Jd
         lam = lam + rho * r
         s = rho * (Jd - Jd_prev)
-        r_norm = float(np.linalg.norm(r))
-        s_norm = float(np.linalg.norm(s))
-        if not (np.isfinite(r_norm) and np.isfinite(s_norm)):
+        r_norm = math.sqrt(r @ r)
+        s_norm = math.sqrt(s @ s)
+        if not (math.isfinite(r_norm) and math.isfinite(s_norm)):
             raise FloatingPointError("non-finite ADMM residuals")
-        tol = cfg.eps * max(np.linalg.norm(mu_F), np.linalg.norm(Jd))
+        tol = cfg.eps * max(math.sqrt(mu_F @ mu_F), math.sqrt(Jd @ Jd))
         if r_norm <= tol and s_norm <= rho * tol:
             converged = True
             break
@@ -113,7 +123,7 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
 def subproblem_model_value(ev: ResidualEval, dtheta: np.ndarray, t: float,
                            loss: LossKind) -> float:
     """Value of the linearized-plus-proximal objective at dtheta."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"stepsize t must be positive, got {t}")
     dtheta = np.asarray(dtheta, dtype=float)
     if dtheta.shape != (ev.J.shape[1],):

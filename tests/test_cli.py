@@ -188,6 +188,17 @@ class TestRun:
         assert main(argv + ["--solver", "glpa"]) == 1
         assert "invalid solver config" in capsys.readouterr().err
 
+    def test_nan_step_tol_rejected(self, tmp_path, capsys):
+        # NaN must stop before the fit: no step meets a NaN step_tol, and
+        # summary.json would echo a bare NaN, which is not JSON
+        out = tmp_path / "o"
+        rc = main(["run", "--task", "franke", "--solver", "glpa", "--loss",
+                   "absolute", "--step-tol", "nan", "--q", "4", "--n-train", "20",
+                   "--n-test", "5", "--max-outer", "20", "--out", str(out)])
+        assert rc == 1
+        assert "invalid solver config" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_baseline_solver_runs(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["run", "--task", "franke", "--solver", "adam",

@@ -245,6 +245,17 @@ class TestGlpa:
         assert [(r.k, r.objective, r.step_norm, r.eta) for r in a.trace] == \
                [(r.k, r.objective, r.step_norm, r.eta) for r in b.trace]
 
+    @pytest.mark.parametrize("build", [
+        lambda: SolverConfig(t=float("nan")),
+        lambda: SolverConfig(step_tol=float("nan")),
+        lambda: AdmmConfig(rho=float("nan")),
+        lambda: AdmmConfig(eps=float("nan")),
+    ], ids=["t", "step_tol", "rho", "eps"])
+    def test_nan_config_rejected(self, build):
+        # NaN fails every comparison, so a `t <= 0` check would let it through
+        with pytest.raises(ValueError):
+            build()
+
     def test_invalid_config_rejected(self):
         # a config is checked once, when built, and cannot be changed after
         with pytest.raises(ValueError):
@@ -311,6 +322,9 @@ class TestBaselines:
         with pytest.raises(ValueError):
             baseline_fit(X, y, shape, LossKind.QUADRATIC, "adam",
                          np.zeros(shape.n), lr=0.0)
+        with pytest.raises(ValueError):
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, "adam",
+                         np.zeros(shape.n), lr=float("nan"))
         with pytest.raises(ValueError):
             baseline_fit(X, y, shape, LossKind.QUADRATIC, "newton",
                          np.zeros(shape.n))

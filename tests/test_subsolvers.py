@@ -39,6 +39,58 @@ def reference_admm(ev, t, loss, cfg):
     return dtheta, AdmmTrace(it, r_norm, s_norm, converged)
 
 
+def reference_cholesky(ev, t, loss, cfg):
+    """The subsolvers' residual-space arithmetic through scipy's wrappers:
+    cho_factor on the C-ordered K, cho_solve, np.linalg.norm. The oracle for
+    the bitwise contract: the subsolvers hand the same values to the same
+    LAPACK routines in the same order, so they must agree to the last bit."""
+    J, F, m = ev.J, ev.F, ev.m
+    c = 2.0 / m if loss is LossKind.QUADRATIC else cfg.rho
+    K = J @ J.T
+    K *= t * c
+    K[np.diag_indices_from(K)] += 1.0
+    factor = scipy.linalg.cho_factor(K, lower=True)
+    if loss is LossKind.QUADRATIC:
+        return -(t * c) * (J.T @ scipy.linalg.cho_solve(factor, F)), None
+    rho = cfg.rho
+    lam, Jd = np.zeros(m), np.zeros(m)
+    converged = False
+    for it in range(1, cfg.max_iters + 1):
+        mu = prox(F + Jd - lam / rho, 1.0 / (m * rho), loss)
+        mu_F = mu - F
+        w = mu_F + lam / rho
+        z = scipy.linalg.cho_solve(factor, w)
+        Jd_prev, Jd = Jd, w - z
+        r = mu_F - Jd
+        lam = lam + rho * r
+        r_norm = float(np.linalg.norm(r))
+        s_norm = float(np.linalg.norm(rho * (Jd - Jd_prev)))
+        tol = cfg.eps * max(np.linalg.norm(mu_F), np.linalg.norm(Jd))
+        if r_norm <= tol and s_norm <= rho * tol:
+            converged = True
+            break
+    return (t * rho) * (J.T @ z), AdmmTrace(it, r_norm, s_norm, converged)
+
+
+def _count_linalg(monkeypatch):
+    """Count the subsolvers' factorizations (scipy.linalg.cho_factor) and
+    triangular solve pairs (their dpotrs binding)."""
+    import signet.subsolvers as sub
+    calls = {"cho_factor": 0, "dpotrs": 0}
+
+    def counting(host, name):
+        real = getattr(host, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(host, name, counted)
+
+    counting(sub.scipy.linalg, "cho_factor")
+    counting(sub, "dpotrs")
+    return calls
+
+
 class TestLmStep:
     def test_zero_residual_gives_zero_step(self, rng):
         ev = ResidualEval(F=np.zeros(4), J=rng.normal(size=(4, 6)))
@@ -72,6 +124,13 @@ class TestLmStep:
         ev = _random_eval(rng, 3, 3)
         with pytest.raises(ValueError):
             lm_step(ev, 0.0)
+        with pytest.raises(ValueError):
+            lm_step(ev, float("nan"))
+
+    def test_one_factorization_one_solve(self, rng, monkeypatch):
+        calls = _count_linalg(monkeypatch)
+        lm_step(_random_eval(rng, 8, 8), 10.0)
+        assert calls == {"cho_factor": 1, "dpotrs": 1}
 
 
 @pytest.mark.parametrize("solve", [
@@ -157,24 +216,12 @@ class TestAdmm:
             admm_solve(ev, 1.0, LossKind.QUADRATIC, AdmmConfig())
 
     def test_factorization_happens_once(self, rng, monkeypatch):
-        import signet.subsolvers as sub
-        calls = {"cho_factor": 0, "cho_solve": 0}
-
-        def counting(name):
-            real = getattr(scipy.linalg, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(sub.scipy.linalg, name, counting(name))
+        calls = _count_linalg(monkeypatch)
         ev = _random_eval(rng, 8, 8)
         _, tr = admm_solve(ev, 10.0, LossKind.ABSOLUTE,
                            AdmmConfig(rho=0.1, eps=1e-12, max_iters=50))
         assert calls["cho_factor"] == 1
-        assert calls["cho_solve"] == tr.iterations == 50
+        assert calls["dpotrs"] == tr.iterations == 50
 
     @pytest.mark.parametrize("loss", [LossKind.ABSOLUTE, LossKind.HINGE])
     @pytest.mark.parametrize("m, n", [(6, 10), (8, 8), (12, 5)],
@@ -199,6 +246,32 @@ class TestAdmm:
             ref.final_primal_residual_norm, rel=1e-8, abs=1e-13 * scale)
         assert tr.final_dual_residual_norm == pytest.approx(
             ref.final_dual_residual_norm, rel=1e-8, abs=1e-13 * scale)
+
+
+@pytest.mark.parametrize("loss", [LossKind.QUADRATIC, LossKind.ABSOLUTE,
+                                  LossKind.HINGE])
+@pytest.mark.parametrize("m, n", [(6, 10), (8, 8), (12, 5), (289, 289)],
+                         ids=["m<n", "m=n", "m>n", "m=n=289"])
+def test_bitwise_equal_to_cholesky_reference(rng, m, n, loss):
+    # K = J J^T, scaled, plus I is exactly symmetric, so K.T (Fortran order)
+    # is the same matrix and the subsolvers' results are bit for bit those
+    # of the C-ordered factorization
+    ev = _random_eval(rng, m, n)
+    if loss is LossKind.HINGE:
+        ev = ResidualEval(F=1.0 + ev.F, J=ev.J)
+    t, cfg = 1e5, AdmmConfig(rho=1e-2, eps=1e-2, max_iters=20)
+    for c in (2.0 / m, cfg.rho):
+        K = ev.J @ ev.J.T
+        K *= t * c
+        K[np.diag_indices_from(K)] += 1.0
+        assert np.array_equal(K, K.T)
+    d_ref, tr_ref = reference_cholesky(ev, t, loss, cfg)
+    if loss is LossKind.QUADRATIC:
+        assert np.array_equal(lm_step(ev, t), d_ref)
+    else:
+        d, tr = admm_solve(ev, t, loss, cfg)
+        assert np.array_equal(d, d_ref)
+        assert tr == tr_ref
 
 
 class TestModelValue:
