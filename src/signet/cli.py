@@ -114,9 +114,7 @@ def _load_task(args) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     if args.task == "custom-csv":
         if args.data is None:
             raise ValueError("custom-csv task needs --data")
-        task = (data_mod.TaskKind.BINARY if LossKind(args.loss) is LossKind.HINGE
-                else data_mod.TaskKind.REGRESSION)
-        full = data_mod.load_dataset_csv(args.data, task)
+        full = data_mod.load_dataset_csv(args.data)
         return data_mod.split_dataset(full, args.train_frac, args.seed)
     raise ValueError(f"unknown task {args.task!r}")
 
@@ -125,9 +123,10 @@ def _setup(args):
     """(loss, train, test, shape, theta0) of a run or a comparison."""
     loss = LossKind(args.loss)
     train, test = _load_task(args)
-    if loss is LossKind.HINGE and train.task is not data_mod.TaskKind.BINARY:
-        raise ValueError("hinge loss needs a binary classification task")
-    if loss is not LossKind.HINGE and train.task is data_mod.TaskKind.BINARY:
+    if loss is LossKind.HINGE:
+        if not all(numpy.all(numpy.abs(ds.targets) == 1.0) for ds in (train, test)):
+            raise ValueError("hinge loss needs a binary classification task")
+    elif args.task == "digits":
         raise ValueError("classification tasks use the hinge loss")
     q = args.q if args.q is not None else diagnostics.adaptive_network_size(
         train.m, train.d)
@@ -171,8 +170,8 @@ def _write_json(path: Path, args, fields: dict):
         fh.write("\n")
 
 
-def _metrics(theta, shape, train, test):
-    if train.task is data_mod.TaskKind.BINARY:
+def _metrics(theta, shape, loss, train, test):
+    if loss is LossKind.HINGE:
         return {
             "training_errors": diagnostics.classification_errors(theta, shape, train),
             "test_errors": diagnostics.classification_errors(theta, shape, test),
@@ -223,7 +222,7 @@ def cmd_run(args) -> int:
         "elapsed_s": elapsed,
         "jacobian_rank": rank,
         "full_row_rank": full_row_rank,
-        "metrics": _metrics(report.theta_star, shape, train, test),
+        "metrics": _metrics(report.theta_star, shape, loss, train, test),
     })
     if args.save_model:
         _write_csv(out / "model.csv", ["theta"], ((v,) for v in report.theta_star))

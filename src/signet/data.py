@@ -5,7 +5,6 @@ the positive-noise recipe, and digits CSV loading with binary-task splits.
 from __future__ import annotations
 
 import contextlib
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,16 +21,10 @@ class DataError(ValueError):
     pass
 
 
-class TaskKind(enum.Enum):
-    REGRESSION = "regression"
-    BINARY = "binary"
-
-
 @dataclass(frozen=True)
 class Dataset:
     inputs: np.ndarray      # (m, d)
     targets: np.ndarray     # (m,)
-    task: TaskKind
 
     def __post_init__(self):
         if self.inputs.ndim != 2 or self.targets.shape != (self.inputs.shape[0],):
@@ -39,8 +32,6 @@ class Dataset:
                             f"vs {self.targets.shape}")
         if self.inputs.shape[0] < 1:
             raise DataError("empty dataset")
-        if self.task is TaskKind.BINARY and not np.all(np.isin(self.targets, (-1.0, 1.0))):
-            raise DataError("binary targets must be in {-1, +1}")
 
     @property
     def m(self) -> int:
@@ -59,8 +50,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_tilde <= 0:
-            raise DataError(f"sigma_tilde must be positive, got {self.sigma_tilde}")
+        if not 0 < self.sigma_tilde < math.inf:
+            raise DataError(f"sigma_tilde must be positive and finite, "
+                            f"got {self.sigma_tilde}")
 
     @property
     def amplitude(self) -> float:
@@ -71,26 +63,21 @@ class NoiseSpec:
         return self.amplitude * rng.uniform(0.0, 1.0, size=count)
 
 
-def halton(index: int, base: int) -> float:
-    """Radical inverse of index in the given base (1-indexed sequence)."""
-    if index < 1:
-        raise DataError(f"halton index must be >= 1, got {index}")
-    if base < 2:
-        raise DataError(f"halton base must be >= 2, got {base}")
-    result = 0.0
-    f = 1.0 / base
-    i = index
-    while i > 0:
-        result += f * (i % base)
-        i //= base
-        f /= base
-    return result
-
-
 def halton_points(start: int, count: int) -> np.ndarray:
-    """count consecutive Halton points in bases 2 and 3 from index start."""
-    return np.array([[halton(k, b) for b in (2, 3)]
-                     for k in range(start, start + count)])
+    """count consecutive Halton points in bases 2 and 3 from index start >= 1:
+    per base, the radical inverse of every index, its digits added from the
+    least significant one up."""
+    if start < 1:
+        raise DataError(f"Halton index must be >= 1, got {start}")
+    points = np.zeros((count, 2))
+    for col, base in enumerate((2, 3)):
+        i = np.arange(start, start + count)
+        f = 1.0 / base
+        while np.any(i > 0):
+            points[:, col] += f * (i % base)
+            i //= base
+            f /= base
+    return points
 
 
 def franke(x1, x2):
@@ -117,8 +104,7 @@ def make_franke_datasets(n_train: int = 289, n_test: int = 121,
     y_test = franke(X_test[:, 0], X_test[:, 1])
     if noise is not None:
         y_train = y_train + noise.sample(n_train)
-    return (Dataset(X_train, y_train, TaskKind.REGRESSION),
-            Dataset(X_test, y_test, TaskKind.REGRESSION))
+    return Dataset(X_train, y_train), Dataset(X_test, y_test)
 
 
 def _parse_rows(lines) -> np.ndarray:
@@ -184,7 +170,7 @@ def make_binary_task(digits, digit_pos: int, digit_neg: int,
             raise DataError(f"digit {digit} absent from the labels")
     keep = (labels == digit_pos) | (labels == digit_neg)
     X = pixels[keep] / 16.0 if normalize else pixels[keep]
-    full = Dataset(X, np.where(labels[keep] == digit_pos, 1.0, -1.0), TaskKind.BINARY)
+    full = Dataset(X, np.where(labels[keep] == digit_pos, 1.0, -1.0))
     return split_dataset(full, train_fraction, seed)
 
 
@@ -192,14 +178,15 @@ def split_dataset(ds: Dataset, train_fraction: float,
                   seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle of the rows, then floor(train_fraction * m) of them
     for training and the rest for testing; both parts must be non-empty."""
+    if not math.isfinite(train_fraction):
+        raise DataError(f"degenerate split: train fraction {train_fraction}")
     perm = np.random.default_rng(seed).permutation(ds.m)
     # tiny epsilon keeps e.g. 0.7*360 from flooring to 251
     n_train = int(math.floor(train_fraction * ds.m + 1e-9))
     if n_train < 1 or n_train >= ds.m:
         raise DataError(f"degenerate split: {n_train} of {ds.m}")
     X, y = ds.inputs[perm], ds.targets[perm]
-    return (Dataset(X[:n_train], y[:n_train], ds.task),
-            Dataset(X[n_train:], y[n_train:], ds.task))
+    return Dataset(X[:n_train], y[:n_train]), Dataset(X[n_train:], y[n_train:])
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:
@@ -210,7 +197,7 @@ def save_dataset_csv(ds: Dataset, path) -> None:
                    delimiter=",", newline="\r\n", header=header, comments="")
 
 
-def load_dataset_csv(path, task: TaskKind = TaskKind.REGRESSION) -> Dataset:
+def load_dataset_csv(path) -> Dataset:
     """Read a dataset written by save_dataset_csv; every cell must be a
     finite number."""
     path = Path(path)
@@ -218,4 +205,4 @@ def load_dataset_csv(path, task: TaskKind = TaskKind.REGRESSION) -> Dataset:
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
     if bad.size:
         raise DataError(f"{path}:{bad[0] + 2}: non-finite value")
-    return Dataset(values[:, :-1], values[:, -1], task)
+    return Dataset(values[:, :-1], values[:, -1])

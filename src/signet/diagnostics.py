@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, TaskKind
+from .data import Dataset
 from .model import NetworkShape, predict
 
 
@@ -31,8 +31,8 @@ def max_error(pred, actual) -> float:
 def classification_errors(theta, shape: NetworkShape, data: Dataset) -> int:
     """Count of sign mismatches; a network output of exactly 0 counts as an
     error for either label."""
-    if data.task is not TaskKind.BINARY:
-        raise ValueError("classification_errors needs a binary dataset")
+    if not np.all(np.abs(data.targets) == 1.0):
+        raise ValueError("classification_errors needs targets in {-1, +1}")
     preds = predict(theta, shape, data.inputs)
     return int(np.sum(np.sign(preds) != data.targets))
 

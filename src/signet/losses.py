@@ -57,8 +57,8 @@ def prox(a, kappa: float, loss: LossKind):
     the margin 1. Accepts scalars or arrays elementwise. Boundary ties go
     to the middle branch.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if loss is LossKind.ABSOLUTE:
         a_arr = np.asarray(a, dtype=float)
         out = np.sign(a_arr) * np.maximum(np.abs(a_arr) - kappa, 0.0)

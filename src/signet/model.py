@@ -158,7 +158,7 @@ def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
         raise DimensionError(
             f"targets have shape {targets.shape}, expected ({inputs.shape[0]},)")
     hinge = loss is LossKind.HINGE
-    if hinge and not np.all(np.isin(targets, (-1.0, 1.0))):
+    if hinge and not np.all(np.abs(targets) == 1.0):
         raise ValueError("hinge targets must be in {-1, +1}")
     h, preds = _hidden(theta, shape, inputs, targets if hinge else None)
     F = targets * preds if hinge else preds - targets

@@ -158,8 +158,9 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
     """Full-batch SGDM / RMSProp / Adam on the training objective, using the
     analytic (sub)gradient J^T outer_gradient(F), formed without building J.
     Deterministic: no minibatch sampling."""
-    if not (lr > 0 and iters >= 1):
-        raise ValueError(f"invalid hyperparameters lr={lr}, iters={iters}")
+    if not (lr > 0 and math.isfinite(momentum) and iters >= 1):
+        raise ValueError(f"invalid hyperparameters lr={lr}, momentum={momentum}, "
+                         f"iters={iters}")
     optimizer = optimizer.lower()
     if optimizer not in ("sgdm", "rmsprop", "adam"):
         raise ValueError(f"unknown optimizer {optimizer!r}")

@@ -50,6 +50,24 @@ def finite_diff_jacobian(theta, shape, inputs, targets, loss, h=1e-5):
     return np.column_stack(cols)
 
 
+def reference_halton_points(start, count):
+    """Halton points in bases 2 and 3, one scalar radical inverse at a time,
+    its digits added from the least significant one up: the oracle for
+    signet.data.halton_points."""
+    points = []
+    for index in range(start, start + count):
+        row = []
+        for base in (2, 3):
+            result, f, i = 0.0, 1.0 / base, index
+            while i > 0:
+                result += f * (i % base)
+                i //= base
+                f /= base
+            row.append(result)
+        points.append(row)
+    return np.array(points)
+
+
 def scalar_loss(mu, loss):
     """The scalar convex function the separable outer loss is built from:
     the oracle for outer_value, prox and the subproblem values."""

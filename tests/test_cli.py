@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 from signet.cli import _solver_config, build_parser, main
-from signet.data import make_franke_datasets
+from signet.data import load_dataset_csv, make_franke_datasets, split_dataset
 from signet.diagnostics import max_error, rms_error
 from signet.losses import LossKind
 from signet.model import NetworkShape, init_params, predict
@@ -147,6 +147,35 @@ class TestRun:
         summary = _read_summary(out)
         assert summary["q"] == summary["adaptive_q"] == 6  # ceil(24/4)
 
+    def test_digits_need_the_hinge_loss(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["run", "--task", "digits", "--loss", "absolute",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "classification tasks use the hinge loss" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_train_frac_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        rc = main(["run", "--task", "digits", "--loss", "hinge",
+                   "--train-frac", value, "--out", str(out)])
+        assert rc == 1
+        assert f"degenerate split: train fraction {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_momentum_rejected(self, tmp_path, capsys, value):
+        # stopped before the fit, not by the first non-finite residual
+        out = tmp_path / "o"
+        rc = main(["run", "--task", "franke", "--solver", "sgdm",
+                   "--momentum", value, "--q", "4", "--n-train", "20",
+                   "--n-test", "5", "--iters", "5", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid hyperparameters" in err and f"momentum={value}" in err
+        assert not out.exists()
+
     def test_hinge_on_regression_task_fails(self, tmp_path, capsys):
         rc = main(["run", "--task", "franke", "--loss", "hinge",
                    "--out", str(tmp_path / "o")])
@@ -253,6 +282,25 @@ class TestCustomCsv:
         assert rc == 1
         assert "degenerate split" in capsys.readouterr().err
 
+    def test_hinge_label_in_test_split_fails(self, tmp_path, capsys):
+        # every target of a hinge run is checked, the held-out ones too
+        data = tmp_path / "labelled.csv"
+        self._write_labelled_csv(data)
+        full = load_dataset_csv(data)
+        _, test = split_dataset(full, 0.7, 0)
+        row = int(np.flatnonzero(np.all(full.inputs == test.inputs[0], axis=1))[0])
+        lines = data.read_text().splitlines()
+        lines[row + 1] = lines[row + 1].rsplit(",", 1)[0] + ",0.5"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        rc = main(["run", "--task", "custom-csv", "--data", str(data),
+                   "--loss", "hinge", "--solver", "glpa", "--q", "2",
+                   "--max-outer", "2", "--admm-max-iters", "2", "--out", str(out)])
+        assert rc == 1
+        assert ("hinge loss needs a binary classification task"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_finite_cell_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x0,x1,y\n0.1,0.2,0.3\n0.4,nan,0.6\n0.7,0.8,0.9\n")
@@ -299,6 +347,16 @@ class TestGenData:
             "train.csv": "68d20410f170406dd358f9de8fa7224ae59152b263d30f3eeb0994bd28b29090",
             "test.csv": "570023f2f1204f68c0cab6dbd2cd8bbec22c697d8e167078e5923d7a6d82e21b",
         }
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_sigma_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "d"
+        rc = main(["gen-data", "--task", "franke", "--noise-sigma", value,
+                   "--out", str(out)])
+        assert rc == 1
+        assert (f"sigma_tilde must be positive and finite, got {value}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_bad_pair_format(self, tmp_path, capsys):
         rc = main(["gen-data", "--task", "digits", "--pair", "37",

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import warnings
 from importlib import resources
@@ -6,10 +7,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from signet.data import (DataError, Dataset, NoiseSpec, TaskKind, franke,
-                         halton, halton_points, load_dataset_csv,
-                         load_digits_csv, make_binary_task,
+from signet.data import (DataError, Dataset, NoiseSpec, franke, halton_points,
+                         load_dataset_csv, load_digits_csv, make_binary_task,
                          make_franke_datasets, save_dataset_csv)
+
+from conftest import reference_halton_points
 
 
 class TestHalton:
@@ -18,21 +20,26 @@ class TestHalton:
         (1, 3, 1 / 3), (2, 3, 2 / 3), (3, 3, 1 / 9),
     ])
     def test_radical_inverse(self, index, base, expected):
-        assert halton(index, base) == pytest.approx(expected, abs=1e-15)
+        column = (2, 3).index(base)
+        assert halton_points(index, 1)[0, column] == pytest.approx(expected, abs=1e-15)
 
     def test_distinct_and_in_unit_interval(self):
-        vals = [halton(k, 2) for k in range(1, 1001)]
-        assert len(set(vals)) == 1000
-        assert all(0 < v < 1 for v in vals)
+        vals = halton_points(1, 1000)[:, 0]
+        assert np.unique(vals).size == 1000
+        assert np.all((vals > 0) & (vals < 1))
 
     def test_range_large_indices(self):
-        for b in (2, 3):
-            vals = [halton(k, b) for k in range(1, 10_001)]
-            assert all(0 < v < 1 for v in vals)
+        points = halton_points(1, 10_000)
+        assert np.all((points > 0) & (points < 1))
 
     def test_zero_index_rejected(self):
         with pytest.raises(DataError):
-            halton(0, 2)
+            halton_points(0, 2)
+
+    @pytest.mark.parametrize("start,count", [(1, 10_000), (290, 121)])
+    def test_bitwise_equal_to_scalar_reference(self, start, count):
+        assert np.array_equal(halton_points(start, count),
+                              reference_halton_points(start, count))
 
 
 class TestFranke:
@@ -61,11 +68,22 @@ class TestFrankeDatasets:
     def test_default_sizes_and_split(self):
         train, test = make_franke_datasets()
         assert train.m == 289 and test.m == 121
-        assert train.task is TaskKind.REGRESSION
         # test points continue the Halton stream after the training block
         assert np.allclose(test.inputs, halton_points(290, 121))
         assert np.allclose(train.targets,
                            franke(train.inputs[:, 0], train.inputs[:, 1]))
+
+    def test_inputs_bitwise_pinned(self):
+        # consecutive Halton points, byte for byte as the scalar loop built them
+        train, test = make_franke_datasets()
+        assert np.array_equal(train.inputs, reference_halton_points(1, 289))
+        assert np.array_equal(test.inputs, reference_halton_points(290, 121))
+        digests = [hashlib.sha256(ds.inputs.tobytes()).hexdigest()
+                   for ds in (train, test)]
+        assert digests == [
+            "1ee5af939b0d8f9da498ed25bc068545200be5b5e9e53e28f85d45ce8f062c01",
+            "ed01ef028efca317ec7aa6aa218392df217c8d2c84c2907861405d8e922162a5",
+        ]
 
     def test_no_noise_deterministic(self):
         a, _ = make_franke_datasets()
@@ -228,8 +246,7 @@ class TestDigits:
 
 class TestCsvRoundTrip:
     def test_save_load(self, tmp_path, rng):
-        ds = Dataset(rng.uniform(0, 1, (13, 2)), rng.normal(size=13),
-                     TaskKind.REGRESSION)
+        ds = Dataset(rng.uniform(0, 1, (13, 2)), rng.normal(size=13))
         path = tmp_path / "ds.csv"
         save_dataset_csv(ds, path)
         back = load_dataset_csv(path)
@@ -268,8 +285,7 @@ class TestCsvRoundTrip:
 
     def test_saved_bytes(self, tmp_path):
         # 17 significant digits, shortest exponent form, CRLF line ends
-        ds = Dataset(np.array([[0.1, -0.0], [1 / 3, 1e-300]]), np.array([1.0, -1.0]),
-                     TaskKind.BINARY)
+        ds = Dataset(np.array([[0.1, -0.0], [1 / 3, 1e-300]]), np.array([1.0, -1.0]))
         path = tmp_path / "ds.csv"
         save_dataset_csv(ds, path)
         assert path.read_bytes() == (b"x0,x1,y\r\n0.10000000000000001,-0,1\r\n"

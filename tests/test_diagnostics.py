@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet.data import Dataset, TaskKind
+from signet.data import Dataset
 from signet.diagnostics import (adaptive_network_size, classification_errors,
                                 jacobian_rank, max_error, rms_error)
 from signet.losses import LossKind
@@ -44,7 +44,7 @@ class TestErrors:
 
 class TestClassificationErrors:
     def _dataset(self, X, y):
-        return Dataset(X, y, TaskKind.BINARY)
+        return Dataset(X, y)
 
     def test_zero_output_counts_as_error(self):
         shape = NetworkShape(d=1, q=1)
@@ -65,7 +65,7 @@ class TestClassificationErrors:
 
     def test_regression_dataset_rejected(self):
         shape = NetworkShape(d=1, q=1)
-        ds = Dataset(np.array([[1.0]]), np.array([0.3]), TaskKind.REGRESSION)
+        ds = Dataset(np.array([[1.0]]), np.array([0.3]))
         with pytest.raises(ValueError):
             classification_errors(np.zeros(shape.n), shape, ds)
 

@@ -87,6 +87,11 @@ class TestProx:
         with pytest.raises(ValueError):
             prox(1.0, 0.0, LossKind.ABSOLUTE)
 
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_non_finite_kappa(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            prox(0.5, kappa, LossKind.ABSOLUTE)
+
     def test_quadratic_unsupported(self):
         with pytest.raises(ValueError):
             prox(1.0, 0.5, LossKind.QUADRATIC)

@@ -325,6 +325,9 @@ class TestBaselines:
         with pytest.raises(ValueError):
             baseline_fit(X, y, shape, LossKind.QUADRATIC, "adam",
                          np.zeros(shape.n), lr=float("nan"))
+        with pytest.raises(ValueError, match="momentum=nan"):
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, "sgdm",
+                         np.zeros(shape.n), momentum=float("nan"))
         with pytest.raises(ValueError):
             baseline_fit(X, y, shape, LossKind.QUADRATIC, "newton",
                          np.zeros(shape.n))
