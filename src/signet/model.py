@@ -1,5 +1,6 @@
 """Three-layer sigmoid network: predictions, the per-sample residual map F
-with its Jacobian J, and products J^T r, all from one hidden-layer pass.
+with its Jacobian J, and the products J J^T, J^T r and J v, all from one
+hidden-layer pass.
 
 Parameter layout is fixed as [w (q) | v (q*d, neuron-major) | u (q) | w0],
 so a parameter vector is a flat float array of length (d+2)*q + 1.
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .losses import LossKind
 
@@ -38,7 +40,9 @@ class NetworkShape:
 class ResidualEval:
     """Residual vector F (length m) and, when it was asked for, its Jacobian
     J (m x n). An evaluation from inner_eval also keeps its hidden-layer
-    pass (X, w, S, sign), from which jtr forms J^T r."""
+    pass (X, w, S, sign, input Gram), from which gram, jtr and jv form
+    alpha J J^T, J^T r and J v without J, whether J was built or not. An
+    evaluation made from an explicit J alone forms them from J."""
 
     F: np.ndarray
     J: np.ndarray | None = None
@@ -57,17 +61,65 @@ class ResidualEval:
     def m(self) -> int:
         return self.F.shape[0]
 
+    @property
+    def n(self) -> int:
+        """Parameter count, the length of J^T r."""
+        if self.hidden is None:
+            return self.J.shape[1]
+        X, w = self.hidden[:2]
+        return (X.shape[1] + 2) * w.shape[0] + 1
+
+    def gram(self, alpha: float) -> np.ndarray:
+        """alpha J J^T (m x m) in Fortran order; only its lower triangle,
+        all that LAPACK's dpotrf reads, is valid.
+
+        A Jacobian row is s_i [S_i | A_i kron X^_i | A_i | 1] with
+        A = w S(1-S) and X^ = [X | 1], so J J^T = S^ S^T + (A A^T) o (X^ X^T),
+        S^ = [S | 1], both S^ and A with rows scaled by s: O(m^2 q), not
+        O(m^2 n). One m x m allocation; syrk adds S^ S^T in place."""
+        if self.hidden is None:
+            K = self.J @ self.J.T       # syrk: exactly symmetric
+            K *= alpha
+            return K.T
+        X, w, S, sign, G = self.hidden
+        if G is None:
+            G = _input_gram(X)
+        m, q = S.shape
+        A = 1.0 - S
+        A *= S
+        A *= w
+        Sh = np.empty((m, q + 1), order="F")
+        Sh[:, :q] = S
+        Sh[:, q] = 1.0
+        if sign is not None:
+            A *= sign[:, None]
+            Sh *= sign[:, None]
+        K = A @ A.T
+        K *= G
+        K *= alpha
+        return dsyrk(alpha, Sh, beta=1.0, c=K.T, lower=1, overwrite_c=1)
+
     def jtr(self, r: np.ndarray) -> np.ndarray:
         """J^T r, formed in O(m*q*d) from the hidden-layer activations
         without building J."""
         if self.hidden is None:
-            raise ValueError("jtr needs an evaluation made by inner_eval")
-        X, w, S, sign = self.hidden
+            return self.J.T @ r
+        X, w, S, sign, _ = self.hidden
         if sign is not None:
             r = sign * r
         Spr = S * (1.0 - S) * r[:, None]      # sigmoid'(A) scaled by r
         return np.concatenate([r @ S, (w[:, None] * (Spr.T @ X)).ravel(),
                                w * Spr.sum(axis=0), [r.sum()]])
+
+    def jv(self, v: np.ndarray) -> np.ndarray:
+        """J v, formed in O(m*q*d) from the hidden-layer activations
+        without building J."""
+        if self.hidden is None:
+            return self.J @ v
+        X, w, S, sign, _ = self.hidden
+        dw, dV, du, dw0 = split_params(v, NetworkShape(X.shape[1], w.shape[0]))
+        Jv = S @ dw + (S * (1.0 - S) * (X @ dV.T + du)) @ w + dw0
+        return Jv if sign is None else sign * Jv
 
 
 def sigmoid(a):
@@ -111,22 +163,30 @@ def init_params(shape: NetworkShape, kind: str = "uniform", seed: int = 0) -> np
     raise ValueError(f"unknown init kind {kind!r}")
 
 
-def _hidden(theta, shape: NetworkShape, X, sign=None):
-    """The hidden-layer pass (X, w, S = sigmoid(X V^T + u), sign), where
-    sign scales the residual rows (the hinge labels) or is None, and the
-    network outputs S w + w0."""
+def _hidden(theta, shape: NetworkShape, X, sign=None, input_gram=None):
+    """The hidden-layer pass (X, w, S = sigmoid(X V^T + u), sign,
+    input_gram), where sign scales the residual rows (the hinge labels) or
+    is None, and the network outputs S w + w0."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != shape.d:
         raise DimensionError(f"inputs have shape {X.shape}, expected (m, {shape.d})")
     w, V, u, w0 = split_params(theta, shape)
     S = sigmoid(X @ V.T + u)
-    return (X, w, S, sign), S @ w + w0
+    return (X, w, S, sign, input_gram), S @ w + w0
+
+
+def _input_gram(X) -> np.ndarray:
+    """X^ X^T with X^ = [X | 1] (m x m, exactly symmetric): the factor of
+    J J^T that depends on the inputs alone, so a fit forms it once."""
+    G = X @ X.T     # syrk
+    G += 1.0
+    return G
 
 
 def _jacobian(h) -> np.ndarray:
     """Jacobian of the residual map, rows grad f(x_i) scaled by the row
     signs; shape (m, n) in parameter layout order."""
-    X, w, S, sign = h
+    X, w, S, sign, _ = h
     (m, d), q = X.shape, w.shape[0]
     Sp = S * (1.0 - S)            # sigmoid'(A)
     J = np.empty((m, (d + 2) * q + 1))
@@ -144,10 +204,11 @@ def predict(theta: np.ndarray, shape: NetworkShape, X: np.ndarray) -> np.ndarray
 
 
 def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
-               targets: np.ndarray, loss: LossKind,
-               jacobian: bool = False) -> ResidualEval:
+               targets: np.ndarray, loss: LossKind, jacobian: bool = False,
+               input_gram: np.ndarray | None = None) -> ResidualEval:
     """Residual map, and its Jacobian if `jacobian`, from one hidden-layer
-    pass.
+    pass. `input_gram` is [X | 1][X | 1]^T of these inputs, for a caller
+    that evaluates them many times; ResidualEval.gram forms it otherwise.
 
     Quadratic/Absolute: F_i = f(x_i) - y_i. Hinge: F_i = y_i * f(x_i) with
     labels restricted to {-1, +1}; the label also scales the Jacobian row.
@@ -160,6 +221,7 @@ def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
     hinge = loss is LossKind.HINGE
     if hinge and not np.all(np.abs(targets) == 1.0):
         raise ValueError("hinge targets must be in {-1, +1}")
-    h, preds = _hidden(theta, shape, inputs, targets if hinge else None)
+    h, preds = _hidden(theta, shape, inputs, targets if hinge else None,
+                       input_gram)
     F = targets * preds if hinge else preds - targets
     return ResidualEval(F=F, J=_jacobian(h) if jacobian else None, hidden=h)

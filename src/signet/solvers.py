@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import LossKind, outer_gradient, outer_value
-from .model import NetworkShape, ResidualEval, inner_eval
+from .model import NetworkShape, ResidualEval, _input_gram, inner_eval
 from .subsolvers import AdmmConfig, admm_solve, lm_step, subproblem_model_value
 
 
@@ -28,8 +28,9 @@ class SolverConfig:
     admm: AdmmConfig = field(default_factory=AdmmConfig)
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not (self.t > 0 and self.step_tol >= 0 and self.max_outer >= 1):
+        # written so that NaN and +inf fail too
+        if not (0 < self.t < math.inf and 0 <= self.step_tol < math.inf
+                and self.max_outer >= 1):
             raise ValueError(f"invalid solver config {self}")
 
 
@@ -104,8 +105,12 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
     trace: list[IterationRecord] = []
     start = time.perf_counter()
     stop_reason = "max_outer"
+    # the subsolvers use J only through ev.gram, ev.jtr and ev.jv, formed
+    # from the hidden-layer pass and this Gram of the fixed inputs
+    input_gram = _input_gram(inputs)
     for k in range(cfg.max_outer):
-        ev = inner_eval(theta, shape, inputs, targets, loss, jacobian=True)
+        ev = inner_eval(theta, shape, inputs, targets, loss,
+                        input_gram=input_gram)
         obj = outer_value(ev.F, loss)
         if not np.isfinite(obj):
             raise FloatingPointError(f"non-finite objective at iteration {k}")
@@ -158,7 +163,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
     """Full-batch SGDM / RMSProp / Adam on the training objective, using the
     analytic (sub)gradient J^T outer_gradient(F), formed without building J.
     Deterministic: no minibatch sampling."""
-    if not (lr > 0 and math.isfinite(momentum) and iters >= 1):
+    if not (0 < lr < math.inf and math.isfinite(momentum) and iters >= 1):
         raise ValueError(f"invalid hyperparameters lr={lr}, momentum={momentum}, "
                          f"iters={iters}")
     optimizer = optimizer.lower()

@@ -26,8 +26,9 @@ class AdmmConfig:
     max_iters: int = 20
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not (self.rho > 0 and self.eps > 0 and self.max_iters >= 1):
+        # written so that NaN and +inf fail too
+        if not (0 < self.rho < math.inf and 0 < self.eps < math.inf
+                and self.max_iters >= 1):
             raise ValueError(f"invalid ADMM config {self}")
 
 
@@ -39,31 +40,34 @@ class AdmmTrace:
     converged: bool
 
 
-def _factor(J: np.ndarray, c: float, t: float):
+def _factor(ev: ResidualEval, c: float, t: float):
     """Lower Cholesky factor of K = I + t c J J^T (m x m), the matrix of both
     subsolvers, for dpotrs. With it, (c J^T J + I/t)^{-1} J^T = t J^T K^{-1}.
-    J @ J.T is exactly symmetric (numpy forms it with syrk), so K.T is K in
-    Fortran order: LAPACK factors it in place, with no transposed copy.
-    dpotrs reports an error only for an illegal argument, which its f2py
-    shape checks rule out, so callers drop its info."""
+    ev.gram gives t c J J^T in Fortran order with its lower triangle valid
+    (from the hidden-layer pass, or J @ J.T for an explicit J), which is
+    all LAPACK's dpotrf reads: it factors K in place, with no copy. An
+    overflow in forming K is reported by the finiteness check, not by a
+    RuntimeWarning. dpotrs reports an error only for an illegal argument,
+    which its f2py shape checks rule out, so callers drop its info."""
     if not t > 0:
         raise ValueError(f"stepsize t must be positive, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):   # caught just below
-        K = J @ J.T
-        K *= t * c
-    K[np.diag_indices_from(K)] += 1.0
+        K = ev.gram(t * c)
+        K[np.diag_indices_from(K)] += 1.0
     if not np.all(np.isfinite(K)):
         raise FloatingPointError("non-finite entries in subproblem matrix")
-    return scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
+    return scipy.linalg.cho_factor(K, lower=True, overwrite_a=True,
                                    check_finite=False)[0]
 
 
 def lm_step(ev: ResidualEval, t: float) -> np.ndarray:
     """Closed-form quadratic-loss step d = -((2/m) J^T J + I/t)^{-1} (2/m) J^T F,
-    computed as d = -t c J^T K^{-1} F with c = 2/m."""
+    computed as d = -t c J^T K^{-1} F with c = 2/m: K from ev.gram, J^T z
+    from ev.jtr, so no Jacobian is built for an evaluation with its
+    hidden-layer pass."""
     c = 2.0 / ev.m
-    z, _ = dpotrs(_factor(ev.J, c, t), ev.F, lower=1)
-    return -(t * c) * (ev.J.T @ z)
+    z, _ = dpotrs(_factor(ev, c, t), ev.F, lower=1)
+    return -(t * c) * ev.jtr(z)
 
 
 def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
@@ -75,20 +79,21 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     solves (rho J^T J + I/t) dtheta = rho J^T w, w = mu - F + lambda/rho. It
     runs in residual space: with K = I + t rho J J^T factored once per call,
     z = K^{-1} w gives J dtheta = w - z and dtheta = t rho J^T z, so an
-    iteration is one m x m triangular solve pair and dtheta is formed once,
-    after the loop. Stops when the primal residual mu - F - J dtheta and the
-    dual residual divided by rho, the change in J dtheta, are both at most
-    eps * max(||mu - F||, ||J dtheta||): measured against the size of the
-    subproblem's own step, so that a small subproblem does not pass at its
-    first, cold-start iterate. Otherwise returns the last iterate unconverged
-    at max_iters.
+    iteration is one m x m triangular solve pair and dtheta = ev.jtr(z)
+    is formed once, after the loop; K comes from ev.gram, so no Jacobian is
+    built for an evaluation with its hidden-layer pass. Stops when the
+    primal residual mu - F - J dtheta and the dual residual divided by rho,
+    the change in J dtheta, are both at most eps * max(||mu - F||,
+    ||J dtheta||): measured against the size of the subproblem's own step,
+    so that a small subproblem does not pass at its first, cold-start
+    iterate. Otherwise returns the last iterate unconverged at max_iters.
     """
     if loss not in (LossKind.ABSOLUTE, LossKind.HINGE):
         raise ValueError(f"ADMM subsolver handles absolute/hinge losses, got {loss!r}")
-    J, F, m = ev.J, ev.F, ev.m
+    F, m = ev.F, ev.m
     rho = cfg.rho
     kappa = 1.0 / (m * rho)
-    L = _factor(J, rho, t)
+    L = _factor(ev, rho, t)
 
     lam = np.zeros(m)
     Jd = np.zeros(m)
@@ -117,7 +122,7 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
             break
     trace = AdmmTrace(iterations=it, final_primal_residual_norm=r_norm,
                       final_dual_residual_norm=s_norm, converged=converged)
-    return (t * rho) * (J.T @ z), trace
+    return (t * rho) * ev.jtr(z), trace
 
 
 def subproblem_model_value(ev: ResidualEval, dtheta: np.ndarray, t: float,
@@ -126,6 +131,6 @@ def subproblem_model_value(ev: ResidualEval, dtheta: np.ndarray, t: float,
     if not t > 0:
         raise ValueError(f"stepsize t must be positive, got {t}")
     dtheta = np.asarray(dtheta, dtype=float)
-    if dtheta.shape != (ev.J.shape[1],):
-        raise ValueError(f"dtheta has shape {dtheta.shape}, expected ({ev.J.shape[1]},)")
-    return outer_value(ev.F + ev.J @ dtheta, loss) + float(dtheta @ dtheta) / (2.0 * t)
+    if dtheta.shape != (ev.n,):
+        raise ValueError(f"dtheta has shape {dtheta.shape}, expected ({ev.n},)")
+    return outer_value(ev.F + ev.jv(dtheta), loss) + float(dtheta @ dtheta) / (2.0 * t)

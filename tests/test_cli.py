@@ -217,6 +217,21 @@ class TestRun:
         assert main(argv + ["--solver", "glpa"]) == 1
         assert "invalid solver config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("t", ["--solver", "glpa", "--loss", "quadratic", "--max-outer", "5"]),
+        ("rho", ["--solver", "glpa", "--loss", "absolute", "--max-outer", "5"]),
+        ("lr", ["--solver", "sgdm", "--iters", "5"]),
+    ], ids=["t", "rho", "lr"])
+    def test_infinite_step_parameter_rejected(self, tmp_path, capsys, flag, argv):
+        # stopped before the fit, with the flag's value in the message, not
+        # by the first non-finite residual or subproblem matrix
+        out = tmp_path / "o"
+        rc = main(["run", "--task", "franke", "--q", "4", "--n-train", "20",
+                   "--n-test", "5", *argv, f"--{flag}", "inf", "--out", str(out)])
+        assert rc == 1
+        assert f"{flag}=inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_step_tol_rejected(self, tmp_path, capsys):
         # NaN must stop before the fit: no step meets a NaN step_tol, and
         # summary.json would echo a bare NaN, which is not JSON

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signet.losses import LossKind, outer_gradient
-from signet.model import (DimensionError, NetworkShape, ResidualEval, init_params,
-                          inner_eval, predict, sigmoid, split_params)
+from signet.model import (DimensionError, NetworkShape, ResidualEval, _jacobian,
+                          init_params, inner_eval, predict, sigmoid, split_params)
 
 from conftest import finite_diff_jacobian, pack_params, random_instance
 
@@ -206,16 +206,49 @@ class TestInnerEval:
                 assert np.linalg.norm(ev.jtr(r) - dense) <= \
                     1e-12 * max(np.linalg.norm(dense), 1e-300)
 
-    def test_jtr_needs_the_hidden_pass(self):
-        ev = ResidualEval(F=np.ones(2), J=np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            ev.jtr(np.ones(2))
+    def test_explicit_jacobian_jtr(self, rng):
+        # an evaluation made from an explicit J forms J^T r from J
+        J = rng.normal(size=(4, 3))
+        r = rng.normal(size=4)
+        assert np.array_equal(ResidualEval(F=np.ones(4), J=J).jtr(r), J.T @ r)
 
     def test_non_finite_residuals_rejected(self):
         shape = NetworkShape(d=1, q=1)
         theta = pack_params([np.inf], [[1.0]], [0.0], 0.0)
         with pytest.raises(FloatingPointError):
             inner_eval(theta, shape, np.ones((2, 1)), np.zeros(2), LossKind.QUADRATIC)
+
+
+def _close(got, dense):
+    return np.linalg.norm(got - dense) <= 1e-12 * max(np.linalg.norm(dense), 1e-300)
+
+
+@given(m=st.integers(1, 30), d=st.integers(1, 6), q=st.integers(1, 8),
+       loss=st.sampled_from(list(LossKind)), seed=st.integers(0, 2**32 - 1))
+@example(m=3, d=4, q=5, loss=LossKind.HINGE, seed=0)         # m < n
+@example(m=30, d=1, q=1, loss=LossKind.QUADRATIC, seed=1)    # m > n, q = d = 1
+@example(m=30, d=2, q=1, loss=LossKind.ABSOLUTE, seed=2)     # m > n, q = 1
+@example(m=1, d=1, q=8, loss=LossKind.HINGE, seed=3)
+@settings(max_examples=200, deadline=None)
+def test_structured_products_match_dense_jacobian(m, d, q, loss, seed):
+    # the hidden-pass forms of alpha J J^T, J v and J^T r against the dense J
+    rng = np.random.default_rng(seed)
+    shape = NetworkShape(d=d, q=q)
+    theta = rng.uniform(-2.0, 2.0, size=shape.n)
+    X = rng.uniform(-1.0, 1.0, size=(m, d))
+    targets = (rng.choice([-1.0, 1.0], size=m) if loss is LossKind.HINGE
+               else rng.uniform(-1.0, 1.0, size=m))
+    ev = inner_eval(theta, shape, X, targets, loss)
+    J = _jacobian(ev.hidden)
+    assert ev.n == shape.n == J.shape[1]
+    alpha = float(rng.uniform(1e-3, 1e5))
+    K = ev.gram(alpha)
+    assert K.shape == (m, m) and K.flags.f_contiguous
+    assert _close(np.tril(K), np.tril(alpha * (J @ J.T)))
+    v = rng.normal(size=shape.n)
+    assert _close(ev.jv(v), J @ v)
+    r = rng.normal(size=m)
+    assert _close(ev.jtr(r), J.T @ r)
 
 
 def test_shape_invariant():

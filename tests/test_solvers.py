@@ -23,16 +23,22 @@ def _one_point_problem():
     return shape, X, y
 
 
-def _count_jacobians(monkeypatch):
-    builds = {"n": 0}
-    real = model_mod._jacobian
+def _count_calls(monkeypatch, name, *hosts):
+    """Count calls of model_mod.<name>, wherever in `hosts` it is bound."""
+    calls = {"n": 0}
+    real = getattr(model_mod, name)
 
     def counting(*args, **kwargs):
-        builds["n"] += 1
+        calls["n"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(model_mod, "_jacobian", counting)
-    return builds
+    for host in (model_mod, *hosts):
+        monkeypatch.setattr(host, name, counting)
+    return calls
+
+
+def _count_jacobians(monkeypatch):
+    return _count_calls(monkeypatch, "_jacobian")
 
 
 class TestLpa:
@@ -210,7 +216,7 @@ class TestGlpa:
         # the squared residual overflows at every trial point, down to the
         # smallest step 1e308 / 2**9
         monkeypatch.setattr(solvers_mod, "lm_step",
-                            lambda ev, t: np.full(ev.J.shape[1], 1e308))
+                            lambda ev, t: np.full(ev.n, 1e308))
         shape, X, y = _one_point_problem()
         theta0 = rng.uniform(-0.5, 0.5, shape.n)
         rep = glpa_fit(X, y, shape, LossKind.QUADRATIC, SolverConfig(t=10.0), theta0)
@@ -223,15 +229,20 @@ class TestGlpa:
     @pytest.mark.parametrize("fit,loss", [(lpa_fit, LossKind.QUADRATIC),
                                           (glpa_fit, LossKind.QUADRATIC),
                                           (glpa_fit, LossKind.HINGE)])
-    def test_one_jacobian_per_outer_iteration(self, rng, monkeypatch, fit, loss):
+    def test_fit_builds_no_jacobian(self, rng, monkeypatch, fit, loss):
+        # the subproblems use J J^T, J^T z and J v from the hidden-layer
+        # pass, with the inputs' Gram formed once per fit
         builds = _count_jacobians(monkeypatch)
+        grams = _count_calls(monkeypatch, "_input_gram", solvers_mod)
         shape = NetworkShape(d=2, q=3)
         X = rng.uniform(0, 1, (10, 2))
         y = rng.choice([-1.0, 1.0], size=10) if loss is LossKind.HINGE \
             else rng.normal(size=10)
         rep = fit(X, y, shape, loss, SolverConfig(t=100.0, max_outer=15),
                   rng.uniform(-0.5, 0.5, shape.n))
-        assert builds["n"] == len(rep.trace) > 1
+        assert len(rep.trace) > 1
+        assert builds["n"] == 0
+        assert grams["n"] == 1
 
     def test_deterministic_reruns(self, rng):
         shape = NetworkShape(d=1, q=2)
@@ -253,6 +264,16 @@ class TestGlpa:
     ], ids=["t", "step_tol", "rho", "eps"])
     def test_nan_config_rejected(self, build):
         # NaN fails every comparison, so a `t <= 0` check would let it through
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: SolverConfig(t=float("inf")),
+        lambda: SolverConfig(step_tol=float("inf")),
+        lambda: AdmmConfig(rho=float("inf")),
+        lambda: AdmmConfig(eps=float("inf")),
+    ], ids=["t", "step_tol", "rho", "eps"])
+    def test_infinite_config_rejected(self, build):
         with pytest.raises(ValueError):
             build()
 
@@ -331,3 +352,9 @@ class TestBaselines:
         with pytest.raises(ValueError):
             baseline_fit(X, y, shape, LossKind.QUADRATIC, "newton",
                          np.zeros(shape.n))
+
+    def test_infinite_lr_rejected(self):
+        shape, X, y = _one_point_problem()
+        with pytest.raises(ValueError, match="lr=inf"):
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, "adam",
+                         np.zeros(shape.n), lr=float("inf"))

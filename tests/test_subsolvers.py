@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg
 
 from signet.losses import LossKind, prox
-from signet.model import ResidualEval
+from signet.model import NetworkShape, ResidualEval, inner_eval
 from signet.subsolvers import (AdmmConfig, AdmmTrace, admm_solve, lm_step,
                                subproblem_model_value)
 
-from conftest import random_instance, scalar_loss
+from conftest import pack_params, random_instance, scalar_loss
 
 
 def _random_eval(rng, m, n, scale=1.0):
@@ -143,6 +143,23 @@ def test_overflowing_gram_matrix_raises(rng, solve):
     ev = ResidualEval(F=rng.normal(size=5), J=rng.normal(size=(5, 7)) * 1e160)
     assert np.all(np.isfinite(ev.J))
     with pytest.raises(FloatingPointError, match="subproblem matrix"):
+        solve(ev)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda ev: lm_step(ev, 10.0),
+    lambda ev: admm_solve(ev, 10.0, LossKind.ABSOLUTE, AdmmConfig()),
+], ids=["lm_step", "admm_solve"])
+def test_overflowing_hidden_pass_gram_raises(solve):
+    # two identical neurons with output weights +-1e160 cancel in F, but
+    # the Hadamard part of J J^T, formed from the hidden-layer pass,
+    # overflows
+    shape = NetworkShape(d=2, q=3)
+    theta = pack_params([1e-160, 1e160, -1e160], np.ones((3, 2)), np.zeros(3), 0.0)
+    X = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
+    ev = inner_eval(theta, shape, X, np.zeros(5), LossKind.ABSOLUTE)
+    assert np.all(np.isfinite(ev.F))
+    with pytest.raises(FloatingPointError, match="non-finite entries in subproblem matrix"):
         solve(ev)
 
 
