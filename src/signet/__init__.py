@@ -6,9 +6,11 @@ import os
 import sys
 
 # One BLAS thread unless the caller's environment says otherwise. At the
-# subproblem sizes here (m in the hundreds) a second OpenBLAS thread makes the
-# Cholesky factorization slower, not faster (0.57-0.61 ms against 0.44-0.51 ms
-# at m = 289 on a 2-vCPU VM), and changes results in the last bits.
+# subproblem sizes here (m in the hundreds) a second OpenBLAS thread makes a
+# whole fit several times slower, for a cause not yet explained: the Franke
+# quadratic lpa_fit took 1.06-1.16 s on one thread and 6.25-7.62 s (12-13 s
+# of CPU time) on two, on a 2-vCPU VM. It also changes results in the last
+# bits.
 # OpenBLAS reads the variables once, when numpy loads it; if numpy is already
 # loaded, setting them would pin only the scipy OpenBLAS loaded later, a
 # mixed state, so the environment is left alone and _blas_threads is None.
@@ -22,17 +24,17 @@ else:
 from .data import Dataset, NoiseSpec, make_binary_task, make_franke_datasets
 from .diagnostics import adaptive_network_size, jacobian_rank, max_error, rms_error
 from .losses import LossKind, outer_value, prox
-from .model import NetworkShape, ResidualEval, init_params, inner_eval, predict, sigmoid
+from .model import NetworkShape, ResidualEval, init_params, inner_eval, predict
 from .solvers import AdmmConfig, FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
-from .subsolvers import AdmmTrace, admm_solve, lm_step, subproblem_model_value
+from .subsolvers import admm_solve, lm_step, subproblem_model_value
 
 __all__ = [
-    "AdmmConfig", "AdmmTrace", "Dataset", "FitReport", "LossKind",
+    "AdmmConfig", "Dataset", "FitReport", "LossKind",
     "NetworkShape", "NoiseSpec", "ResidualEval", "SolverConfig",
     "adaptive_network_size", "admm_solve", "baseline_fit", "glpa_fit",
     "init_params", "inner_eval", "jacobian_rank", "lm_step", "lpa_fit",
     "make_binary_task", "make_franke_datasets", "max_error", "outer_value",
-    "predict", "prox", "rms_error", "sigmoid", "subproblem_model_value",
+    "predict", "prox", "rms_error", "subproblem_model_value",
 ]
 
 __version__ = "0.1.0"

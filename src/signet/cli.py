@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import platform
 import sys
 import time
@@ -28,7 +29,7 @@ from .model import NetworkShape, init_params, inner_eval, predict
 from .solvers import FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -189,11 +190,13 @@ def _metrics(theta, shape, loss, train, test):
 
 
 def _environment() -> dict:
-    """What a run's last bits depend on besides its config: the library
-    versions and the OPENBLAS_NUM_THREADS value signet loaded numpy under
-    (None when numpy was loaded before signet; see signet/__init__.py)."""
+    """What a run's last bits and its timings depend on besides its config:
+    the library versions, the OPENBLAS_NUM_THREADS value signet loaded
+    numpy under (None when numpy was loaded before signet; see
+    signet/__init__.py) and the CPU count."""
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "blas_threads": _blas_threads}
+            "scipy": scipy.__version__, "blas_threads": _blas_threads,
+            "cpu_count": os.cpu_count()}
 
 
 def cmd_run(args) -> int:
@@ -205,13 +208,13 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "trace.csv",
-               ["k", "objective", "step_norm", "eta", "admm_iters", "elapsed_s"],
-               ((r.k, r.objective, r.step_norm, r.eta, r.admm_iters, r.elapsed)
-                for r in report.trace))
+               ["k", "objective", "step_norm", "eta", "admm_iters", "elapsed_s",
+                "accepted"],
+               ((r.k, r.objective, r.step_norm, r.eta, r.admm_iters, r.elapsed,
+                 int(r.accepted)) for r in report.trace))
 
-    ev = inner_eval(report.theta_star, shape, train.inputs, train.targets, loss,
-                    jacobian=True)
-    rank, full_row_rank = diagnostics.jacobian_rank(ev.J)
+    rank, full_row_rank = diagnostics.jacobian_rank(inner_eval(
+        report.theta_star, shape, train.inputs, train.targets, loss).jacobian())
     _write_json(out / "summary.json", args, {
         "q": shape.q,
         "n_params": shape.n,

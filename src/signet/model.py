@@ -38,23 +38,22 @@ class NetworkShape:
 
 @dataclass(frozen=True)
 class ResidualEval:
-    """Residual vector F (length m) and, when it was asked for, its Jacobian
-    J (m x n). An evaluation from inner_eval also keeps its hidden-layer
-    pass (X, w, S, sign, input Gram), from which gram, jtr and jv form
-    alpha J J^T, J^T r and J v without J, whether J was built or not. An
-    evaluation made from an explicit J alone forms them from J."""
+    """Residual vector F (length m) of one hidden-layer pass, kept with the
+    pass: inputs X, output weights w, activations S = sigmoid(X V^T + u),
+    the row signs (the hinge labels, or None) and the input Gram
+    [X | 1][X | 1]^T (or None, and gram forms it). From these, gram, jtr
+    and jv form alpha J J^T, J^T r and J v without the Jacobian J, and
+    jacobian builds J."""
 
     F: np.ndarray
-    J: np.ndarray | None = None
-    hidden: tuple | None = field(default=None, repr=False)
+    X: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    S: np.ndarray = field(repr=False)
+    sign: np.ndarray | None = field(repr=False)
+    input_gram: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
-        # without a Jacobian, F alone is checked
-        J = self.F.reshape(-1, 1) if self.J is None else self.J
-        if self.F.ndim != 1 or J.ndim != 2 or J.shape[0] != self.F.shape[0]:
-            raise DimensionError(
-                f"inconsistent residual shapes F={self.F.shape}, J={J.shape}")
-        if not (np.all(np.isfinite(self.F)) and np.all(np.isfinite(J))):
+        if not np.all(np.isfinite(self.F)):
             raise FloatingPointError("non-finite entries in residual evaluation")
 
     @property
@@ -64,10 +63,7 @@ class ResidualEval:
     @property
     def n(self) -> int:
         """Parameter count, the length of J^T r."""
-        if self.hidden is None:
-            return self.J.shape[1]
-        X, w = self.hidden[:2]
-        return (X.shape[1] + 2) * w.shape[0] + 1
+        return (self.X.shape[1] + 2) * self.w.shape[0] + 1
 
     def gram(self, alpha: float) -> np.ndarray:
         """alpha J J^T (m x m) in Fortran order; only its lower triangle,
@@ -77,17 +73,12 @@ class ResidualEval:
         A = w S(1-S) and X^ = [X | 1], so J J^T = S^ S^T + (A A^T) o (X^ X^T),
         S^ = [S | 1], both S^ and A with rows scaled by s: O(m^2 q), not
         O(m^2 n). One m x m allocation; syrk adds S^ S^T in place."""
-        if self.hidden is None:
-            K = self.J @ self.J.T       # syrk: exactly symmetric
-            K *= alpha
-            return K.T
-        X, w, S, sign, G = self.hidden
-        if G is None:
-            G = _input_gram(X)
+        S, sign = self.S, self.sign
+        G = _input_gram(self.X) if self.input_gram is None else self.input_gram
         m, q = S.shape
         A = 1.0 - S
         A *= S
-        A *= w
+        A *= self.w
         Sh = np.empty((m, q + 1), order="F")
         Sh[:, :q] = S
         Sh[:, q] = 1.0
@@ -102,24 +93,34 @@ class ResidualEval:
     def jtr(self, r: np.ndarray) -> np.ndarray:
         """J^T r, formed in O(m*q*d) from the hidden-layer activations
         without building J."""
-        if self.hidden is None:
-            return self.J.T @ r
-        X, w, S, sign, _ = self.hidden
-        if sign is not None:
-            r = sign * r
+        S, w = self.S, self.w
+        if self.sign is not None:
+            r = self.sign * r
         Spr = S * (1.0 - S) * r[:, None]      # sigmoid'(A) scaled by r
-        return np.concatenate([r @ S, (w[:, None] * (Spr.T @ X)).ravel(),
+        return np.concatenate([r @ S, (w[:, None] * (Spr.T @ self.X)).ravel(),
                                w * Spr.sum(axis=0), [r.sum()]])
 
     def jv(self, v: np.ndarray) -> np.ndarray:
         """J v, formed in O(m*q*d) from the hidden-layer activations
         without building J."""
-        if self.hidden is None:
-            return self.J @ v
-        X, w, S, sign, _ = self.hidden
+        X, w, S = self.X, self.w, self.S
         dw, dV, du, dw0 = split_params(v, NetworkShape(X.shape[1], w.shape[0]))
         Jv = S @ dw + (S * (1.0 - S) * (X @ dV.T + du)) @ w + dw0
-        return Jv if sign is None else sign * Jv
+        return Jv if self.sign is None else self.sign * Jv
+
+    def jacobian(self) -> np.ndarray:
+        """The Jacobian J of the residual map, rows grad f(x_i) scaled by
+        the row signs; shape (m, n) in parameter layout order."""
+        X, w, S = self.X, self.w, self.S
+        (m, d), q = X.shape, w.shape[0]
+        Sp = S * (1.0 - S)            # sigmoid'(A)
+        J = np.empty((m, (d + 2) * q + 1))
+        J[:, :q] = S
+        # d f / d v_ij = w_i * sigmoid'(a_i) * x_j, neuron-major flattening
+        J[:, q:q + q * d] = ((w * Sp)[:, :, None] * X[:, None, :]).reshape(m, q * d)
+        J[:, q + q * d:q + q * d + q] = w * Sp
+        J[:, -1] = 1.0
+        return J if self.sign is None else self.sign[:, None] * J
 
 
 def sigmoid(a):
@@ -163,16 +164,15 @@ def init_params(shape: NetworkShape, kind: str = "uniform", seed: int = 0) -> np
     raise ValueError(f"unknown init kind {kind!r}")
 
 
-def _hidden(theta, shape: NetworkShape, X, sign=None, input_gram=None):
-    """The hidden-layer pass (X, w, S = sigmoid(X V^T + u), sign,
-    input_gram), where sign scales the residual rows (the hinge labels) or
-    is None, and the network outputs S w + w0."""
+def _hidden(theta, shape: NetworkShape, X):
+    """The hidden-layer pass: (X as floats, w, S = sigmoid(X V^T + u)) and
+    the network outputs S w + w0."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != shape.d:
         raise DimensionError(f"inputs have shape {X.shape}, expected (m, {shape.d})")
     w, V, u, w0 = split_params(theta, shape)
     S = sigmoid(X @ V.T + u)
-    return (X, w, S, sign, input_gram), S @ w + w0
+    return (X, w, S), S @ w + w0
 
 
 def _input_gram(X) -> np.ndarray:
@@ -183,32 +183,17 @@ def _input_gram(X) -> np.ndarray:
     return G
 
 
-def _jacobian(h) -> np.ndarray:
-    """Jacobian of the residual map, rows grad f(x_i) scaled by the row
-    signs; shape (m, n) in parameter layout order."""
-    X, w, S, sign, _ = h
-    (m, d), q = X.shape, w.shape[0]
-    Sp = S * (1.0 - S)            # sigmoid'(A)
-    J = np.empty((m, (d + 2) * q + 1))
-    J[:, :q] = S
-    # d f / d v_ij = w_i * sigmoid'(a_i) * x_j, neuron-major flattening
-    J[:, q:q + q * d] = ((w * Sp)[:, :, None] * X[:, None, :]).reshape(m, q * d)
-    J[:, q + q * d:q + q * d + q] = w * Sp
-    J[:, -1] = 1.0
-    return J if sign is None else sign[:, None] * J
-
-
 def predict(theta: np.ndarray, shape: NetworkShape, X: np.ndarray) -> np.ndarray:
     """Network outputs sum_i w_i * sigmoid(v_i . x + u_i) + w0, one per input row."""
     return _hidden(theta, shape, X)[1]
 
 
 def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
-               targets: np.ndarray, loss: LossKind, jacobian: bool = False,
+               targets: np.ndarray, loss: LossKind,
                input_gram: np.ndarray | None = None) -> ResidualEval:
-    """Residual map, and its Jacobian if `jacobian`, from one hidden-layer
-    pass. `input_gram` is [X | 1][X | 1]^T of these inputs, for a caller
-    that evaluates them many times; ResidualEval.gram forms it otherwise.
+    """Residual map from one hidden-layer pass. `input_gram` is
+    [X | 1][X | 1]^T of these inputs, for a caller that evaluates them many
+    times; ResidualEval.gram forms it otherwise.
 
     Quadratic/Absolute: F_i = f(x_i) - y_i. Hinge: F_i = y_i * f(x_i) with
     labels restricted to {-1, +1}; the label also scales the Jacobian row.
@@ -221,7 +206,7 @@ def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
     hinge = loss is LossKind.HINGE
     if hinge and not np.all(np.abs(targets) == 1.0):
         raise ValueError("hinge targets must be in {-1, +1}")
-    h, preds = _hidden(theta, shape, inputs, targets if hinge else None,
-                       input_gram)
+    (X, w, S), preds = _hidden(theta, shape, inputs)
     F = targets * preds if hinge else preds - targets
-    return ResidualEval(F=F, J=_jacobian(h) if jacobian else None, hidden=h)
+    return ResidualEval(F=F, X=X, w=w, S=S, sign=targets if hinge else None,
+                        input_gram=input_gram)

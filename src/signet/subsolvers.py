@@ -43,11 +43,10 @@ class AdmmTrace:
 def _factor(ev: ResidualEval, c: float, t: float):
     """Lower Cholesky factor of K = I + t c J J^T (m x m), the matrix of both
     subsolvers, for dpotrs. With it, (c J^T J + I/t)^{-1} J^T = t J^T K^{-1}.
-    ev.gram gives t c J J^T in Fortran order with its lower triangle valid
-    (from the hidden-layer pass, or J @ J.T for an explicit J), which is
-    all LAPACK's dpotrf reads: it factors K in place, with no copy. An
-    overflow in forming K is reported by the finiteness check, not by a
-    RuntimeWarning. dpotrs reports an error only for an illegal argument,
+    ev.gram gives t c J J^T in Fortran order with its lower triangle valid,
+    which is all LAPACK's dpotrf reads: it factors K in place, with no
+    copy. An overflow in forming K is reported by the finiteness check, not
+    by a RuntimeWarning. dpotrs reports an error only for an illegal argument,
     which its f2py shape checks rule out, so callers drop its info."""
     if not t > 0:
         raise ValueError(f"stepsize t must be positive, got {t}")
@@ -63,8 +62,7 @@ def _factor(ev: ResidualEval, c: float, t: float):
 def lm_step(ev: ResidualEval, t: float) -> np.ndarray:
     """Closed-form quadratic-loss step d = -((2/m) J^T J + I/t)^{-1} (2/m) J^T F,
     computed as d = -t c J^T K^{-1} F with c = 2/m: K from ev.gram, J^T z
-    from ev.jtr, so no Jacobian is built for an evaluation with its
-    hidden-layer pass."""
+    from ev.jtr, so no Jacobian is built."""
     c = 2.0 / ev.m
     z, _ = dpotrs(_factor(ev, c, t), ev.F, lower=1)
     return -(t * c) * ev.jtr(z)
@@ -81,12 +79,11 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     z = K^{-1} w gives J dtheta = w - z and dtheta = t rho J^T z, so an
     iteration is one m x m triangular solve pair and dtheta = ev.jtr(z)
     is formed once, after the loop; K comes from ev.gram, so no Jacobian is
-    built for an evaluation with its hidden-layer pass. Stops when the
-    primal residual mu - F - J dtheta and the dual residual divided by rho,
-    the change in J dtheta, are both at most eps * max(||mu - F||,
-    ||J dtheta||): measured against the size of the subproblem's own step,
-    so that a small subproblem does not pass at its first, cold-start
-    iterate. Otherwise returns the last iterate unconverged at max_iters.
+    built. Stops when the primal residual mu - F - J dtheta and the dual
+    residual divided by rho, the change in J dtheta, are both at most
+    eps * max(||mu - F||, ||J dtheta||): measured against the size of the
+    subproblem's own step, so that a small subproblem does not pass at its
+    first, cold-start iterate. Otherwise returns the last iterate unconverged at max_iters.
     """
     if loss not in (LossKind.ABSOLUTE, LossKind.HINGE):
         raise ValueError(f"ADMM subsolver handles absolute/hinge losses, got {loss!r}")

@@ -3,6 +3,8 @@
 # thread count signet ships with.
 import signet  # noqa: F401
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,37 @@ def pack_params(w, V, u, w0) -> np.ndarray:
     """Flat parameter vector [w | V (neuron-major) | u | w0], the inverse of
     signet.model.split_params: builds hand-made networks for tests."""
     return np.concatenate([np.ravel(w), np.ravel(V), np.ravel(u), [w0]])
+
+
+@dataclass(frozen=True)
+class DenseEval:
+    """A residual evaluation made from an explicit F and Jacobian J: the
+    fake of signet.model.ResidualEval for subproblems with a chosen J. It
+    forms m, n, gram, jtr and jv from J, with gram's J @ J.T scaled in
+    place and returned as its transpose (Fortran order), the arithmetic the
+    subsolvers' bitwise reference repeats."""
+
+    F: np.ndarray
+    J: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.F.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.J.shape[1]
+
+    def gram(self, alpha: float) -> np.ndarray:
+        K = self.J @ self.J.T       # syrk: exactly symmetric
+        K *= alpha
+        return K.T
+
+    def jtr(self, r: np.ndarray) -> np.ndarray:
+        return self.J.T @ r
+
+    def jv(self, v: np.ndarray) -> np.ndarray:
+        return self.J @ v
 
 
 def finite_diff_jacobian(theta, shape, inputs, targets, loss, h=1e-5):

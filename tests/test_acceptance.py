@@ -17,13 +17,12 @@ from signet.data import (NoiseSpec, load_digits_csv, make_binary_task,
 from signet.diagnostics import (adaptive_network_size, classification_errors,
                                 rms_error)
 from signet.losses import LossKind, outer_value, prox
-from signet.model import (NetworkShape, ResidualEval, init_params, inner_eval,
-                          predict)
+from signet.model import NetworkShape, init_params, inner_eval, predict
 from signet.solvers import SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from signet.subsolvers import (AdmmConfig, admm_solve, lm_step,
                                subproblem_model_value)
 
-from conftest import finite_diff_jacobian, random_instance, scalar_loss
+from conftest import DenseEval, finite_diff_jacobian, random_instance, scalar_loss
 from test_losses import golden_section_prox
 
 
@@ -160,9 +159,9 @@ def test_criterion_6a_jacobian_finite_differences():
         loss = [LossKind.QUADRATIC, LossKind.ABSOLUTE,
                 LossKind.HINGE][int(rng.integers(3))]
         targets = labels if loss is LossKind.HINGE else y
-        ev = inner_eval(theta, shape, X, targets, loss, jacobian=True)
+        J = inner_eval(theta, shape, X, targets, loss).jacobian()
         fd = finite_diff_jacobian(theta, shape, X, targets, loss)
-        assert np.linalg.norm(ev.J - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
+        assert np.linalg.norm(J - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
 
 
 def test_criterion_6b_prox_golden_section():
@@ -180,7 +179,7 @@ def test_criterion_6c_lm_step_kkt():
     for _ in range(100):
         m = int(rng.integers(1, 21))
         n = int(rng.integers(1, 31))
-        ev = ResidualEval(F=rng.normal(size=m), J=rng.normal(size=(m, n)))
+        ev = DenseEval(F=rng.normal(size=m), J=rng.normal(size=(m, n)))
         t = float(rng.uniform(0.1, 1e4))
         d = lm_step(ev, t)
         B = (2 / m) * ev.J.T @ ev.J + np.eye(n) / t
@@ -194,7 +193,7 @@ def test_criterion_6d_admm_vs_random_search():
         m = int(rng.integers(1, 11))
         n = int(rng.integers(1, 11))
         loss = LossKind.ABSOLUTE if rng.uniform() < 0.5 else LossKind.HINGE
-        ev = ResidualEval(F=rng.normal(size=m), J=rng.normal(size=(m, n)))
+        ev = DenseEval(F=rng.normal(size=m), J=rng.normal(size=(m, n)))
         t = float(rng.uniform(1.0, 100.0))
         d, _ = admm_solve(ev, t, loss,
                           AdmmConfig(rho=0.5, eps=1e-6, max_iters=20000))

@@ -66,11 +66,12 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 4
+        assert summary["schema_version"] == 5
         assert summary["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+            "cpu_count": os.cpu_count()}
         assert summary["q"] == 8
         assert summary["iterations"] <= 10
         assert summary["config"]["task"] == "franke"
@@ -78,7 +79,7 @@ class TestRun:
         trace = _read_trace(out)
         assert len(trace) == summary["iterations"]
         assert list(trace[0]) == ["k", "objective", "step_norm", "eta",
-                                  "admm_iters", "elapsed_s"]
+                                  "admm_iters", "elapsed_s", "accepted"]
         ks = [int(r["k"]) for r in trace]
         assert ks == list(range(len(trace)))
 
@@ -90,6 +91,20 @@ class TestRun:
         objs = [float(r["objective"]) for r in _read_trace(out)]
         assert all(np.isfinite(objs))
         assert objs[-1] <= objs[0]
+
+    def test_trace_records_line_search_acceptance(self, tmp_path):
+        # written as 1/0, so every trace cell parses as a number
+        out = tmp_path / "o"
+        assert main(["run", "--task", "franke", "--loss", "absolute",
+                     "--solver", "glpa", "--q", "4", "--n-train", "40",
+                     "--n-test", "5", "--max-outer", "30", "--out", str(out)]) == 0
+        train, _ = make_franke_datasets(40, 5)
+        shape = NetworkShape(d=2, q=4)
+        report = glpa_fit(train.inputs, train.targets, shape, LossKind.ABSOLUTE,
+                          SolverConfig(max_outer=30), init_params(shape, "uniform", 0))
+        cells = [row["accepted"] for row in _read_trace(out)]
+        assert cells == [str(int(rec.accepted)) for rec in report.trace]
+        assert set(cells) == {"0", "1"}
 
     def test_save_model_roundtrip(self, tmp_path):
         out = tmp_path / "o"
@@ -447,5 +462,7 @@ class TestCompare:
         assert set(summary["final_objectives"]) == {"glpa", "sgdm",
                                                     "rmsprop", "adam"}
         assert all(np.isfinite(v) for v in summary["final_objectives"].values())
+        assert summary["schema_version"] == 5
         assert (summary["environment"]["blas_threads"]
                 == os.environ["OPENBLAS_NUM_THREADS"])
+        assert summary["environment"]["cpu_count"] == os.cpu_count()

@@ -84,9 +84,8 @@ class TestJacobianRank:
         shape = NetworkShape(d=2, q=5)
         X = rng.uniform(0, 1, (6, 2))
         y = rng.normal(size=6)
-        ev = inner_eval(np.zeros(shape.n), shape, X, y, LossKind.QUADRATIC,
-                        jacobian=True)
-        rank, _ = jacobian_rank(ev.J)
+        J = inner_eval(np.zeros(shape.n), shape, X, y, LossKind.QUADRATIC).jacobian()
+        rank, _ = jacobian_rank(J)
         assert rank <= 2
 
     def test_rank_invariant_under_transpose(self, rng):
@@ -128,17 +127,17 @@ class TestFiniteDiffJacobian:
     def test_linear_block_exact(self, rng):
         shape, theta, X, y, _ = random_instance(rng)
         fd = finite_diff_jacobian(theta, shape, X, y, LossKind.QUADRATIC)
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
+        J = inner_eval(theta, shape, X, y, LossKind.QUADRATIC).jacobian()
         # residual is linear in w and w0, so central differences are exact there
-        assert np.allclose(fd[:, :shape.q], ev.J[:, :shape.q], atol=1e-9)
-        assert np.allclose(fd[:, -1], ev.J[:, -1], atol=1e-10)
+        assert np.allclose(fd[:, :shape.q], J[:, :shape.q], atol=1e-9)
+        assert np.allclose(fd[:, -1], J[:, -1], atol=1e-10)
 
     def test_second_order_convergence(self, rng):
         shape, theta, X, y, _ = random_instance(rng)
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
+        J = inner_eval(theta, shape, X, y, LossKind.QUADRATIC).jacobian()
         err_h = np.max(np.abs(finite_diff_jacobian(theta, shape, X, y,
-                                                   LossKind.QUADRATIC, h=1e-2) - ev.J))
+                                                   LossKind.QUADRATIC, h=1e-2) - J))
         err_h2 = np.max(np.abs(finite_diff_jacobian(theta, shape, X, y,
-                                                    LossKind.QUADRATIC, h=5e-3) - ev.J))
+                                                    LossKind.QUADRATIC, h=5e-3) - J))
         if err_h > 1e-12:
             assert err_h2 <= err_h / 2.5  # roughly 4x per halving

@@ -1,0 +1,44 @@
+"""Every name the package exports has a caller in the program outside the
+module that defines it: the library modules, the experiment scripts and
+the benchmark harness. A name used only by its own module and the tests
+stays importable from that module, not from `signet`."""
+
+import ast
+from pathlib import Path
+
+import signet
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _program_files() -> list:
+    return ([p for p in sorted((ROOT / "src" / "signet").glob("*.py"))
+             if p.name != "__init__.py"]
+            + sorted((ROOT / "scripts").glob("*.py"))
+            + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")])
+
+
+def _referenced_names(path: Path) -> set:
+    """Names a file loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_exported_name_has_a_caller_outside_its_module():
+    references = {path: _referenced_names(path) for path in _program_files()}
+    uncalled = []
+    for name in signet.__all__:
+        home = ROOT / "src" / (getattr(signet, name).__module__.replace(".", "/")
+                               + ".py")
+        if not any(name in refs for path, refs in references.items()
+                   if path != home):
+            uncalled.append(name)
+    assert uncalled == []

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signet.losses import LossKind, outer_gradient
-from signet.model import (DimensionError, NetworkShape, ResidualEval, _jacobian,
-                          init_params, inner_eval, predict, sigmoid, split_params)
+from signet.model import (DimensionError, NetworkShape, init_params, inner_eval,
+                          predict, sigmoid, split_params)
 
 from conftest import finite_diff_jacobian, pack_params, random_instance
 
@@ -19,7 +19,7 @@ def grad_forward(theta, shape, x):
     """Gradient of the network output for one input: the Jacobian row of
     the residual map f(x) - 0."""
     return inner_eval(theta, shape, np.asarray(x, dtype=float)[None, :],
-                      np.zeros(1), LossKind.QUADRATIC, jacobian=True).J[0]
+                      np.zeros(1), LossKind.QUADRATIC).jacobian()[0]
 
 
 def masked_sigmoid(a):
@@ -152,25 +152,26 @@ class TestInnerEval:
         shape = NetworkShape(d=2, q=2)
         X = rng.uniform(0, 1, (4, 2))
         y = rng.uniform(-1, 1, 4)
-        ev = inner_eval(np.zeros(shape.n), shape, X, y, LossKind.QUADRATIC,
-                        jacobian=True)
+        ev = inner_eval(np.zeros(shape.n), shape, X, y, LossKind.QUADRATIC)
         assert np.allclose(ev.F, -y)
+        J = ev.jacobian()
         for i in range(4):
-            assert np.allclose(ev.J[i], grad_forward(np.zeros(shape.n), shape, X[i]))
+            assert np.allclose(J[i], grad_forward(np.zeros(shape.n), shape, X[i]))
 
     def test_hinge_sign_factor(self, rng):
         shape, theta, X, _, labels = random_instance(rng)
-        ev = inner_eval(theta, shape, X, labels, LossKind.HINGE, jacobian=True)
+        J = inner_eval(theta, shape, X, labels, LossKind.HINGE).jacobian()
         for i, yi in enumerate(labels):
             g = grad_forward(theta, shape, X[i])
-            assert np.allclose(ev.J[i], yi * g)
+            assert np.allclose(J[i], yi * g)
 
     def test_quadratic_equals_absolute_eval(self, rng):
         shape, theta, X, y, _ = random_instance(rng)
-        ev_q = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
-        ev_a = inner_eval(theta, shape, X, y, LossKind.ABSOLUTE, jacobian=True)
+        ev_q = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
+        ev_a = inner_eval(theta, shape, X, y, LossKind.ABSOLUTE)
+        assert np.array_equal(ev_q.F, predict(theta, shape, X) - y)
         assert np.array_equal(ev_q.F, ev_a.F)
-        assert np.array_equal(ev_q.J, ev_a.J)
+        assert np.array_equal(ev_q.jacobian(), ev_a.jacobian())
 
     def test_hinge_rejects_non_binary_targets(self, rng):
         shape, theta, X, y, _ = random_instance(rng)
@@ -182,35 +183,21 @@ class TestInnerEval:
         for _ in range(20):
             shape, theta, X, y, labels = random_instance(rng)
             targets = labels if loss is LossKind.HINGE else y
-            ev = inner_eval(theta, shape, X, targets, loss, jacobian=True)
+            J = inner_eval(theta, shape, X, targets, loss).jacobian()
             fd = finite_diff_jacobian(theta, shape, X, targets, loss)
-            assert np.linalg.norm(ev.J - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
-
-    def test_jacobian_only_when_asked(self, rng):
-        shape, theta, X, y, _ = random_instance(rng)
-        plain = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
-        full = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
-        assert plain.J is None
-        assert full.J.shape == (X.shape[0], shape.n)
-        assert np.array_equal(plain.F, full.F)
-        assert np.array_equal(plain.F, predict(theta, shape, X) - y)
+            assert np.linalg.norm(J - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
 
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_jtr_matches_dense_product(self, rng, loss):
         for _ in range(200):
             shape, theta, X, y, labels = random_instance(rng)
             targets = labels if loss is LossKind.HINGE else y
-            ev = inner_eval(theta, shape, X, targets, loss, jacobian=True)
+            ev = inner_eval(theta, shape, X, targets, loss)
+            J = ev.jacobian()
             for r in (rng.normal(size=ev.m), outer_gradient(ev.F, loss)):
-                dense = ev.J.T @ r
+                dense = J.T @ r
                 assert np.linalg.norm(ev.jtr(r) - dense) <= \
                     1e-12 * max(np.linalg.norm(dense), 1e-300)
-
-    def test_explicit_jacobian_jtr(self, rng):
-        # an evaluation made from an explicit J forms J^T r from J
-        J = rng.normal(size=(4, 3))
-        r = rng.normal(size=4)
-        assert np.array_equal(ResidualEval(F=np.ones(4), J=J).jtr(r), J.T @ r)
 
     def test_non_finite_residuals_rejected(self):
         shape = NetworkShape(d=1, q=1)
@@ -239,7 +226,7 @@ def test_structured_products_match_dense_jacobian(m, d, q, loss, seed):
     targets = (rng.choice([-1.0, 1.0], size=m) if loss is LossKind.HINGE
                else rng.uniform(-1.0, 1.0, size=m))
     ev = inner_eval(theta, shape, X, targets, loss)
-    J = _jacobian(ev.hidden)
+    J = ev.jacobian()
     assert ev.n == shape.n == J.shape[1]
     alpha = float(rng.uniform(1e-3, 1e5))
     K = ev.gram(alpha)

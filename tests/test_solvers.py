@@ -38,7 +38,16 @@ def _count_calls(monkeypatch, name, *hosts):
 
 
 def _count_jacobians(monkeypatch):
-    return _count_calls(monkeypatch, "_jacobian")
+    """Count calls of ResidualEval.jacobian."""
+    calls = {"n": 0}
+    real = model_mod.ResidualEval.jacobian
+
+    def counting(ev):
+        calls["n"] += 1
+        return real(ev)
+
+    monkeypatch.setattr(model_mod.ResidualEval, "jacobian", counting)
+    return calls
 
 
 class TestLpa:
@@ -78,8 +87,7 @@ class TestLpa:
         assert rep.stop_reason == "step_tol"
         assert len(rep.trace) == 1
         from signet.subsolvers import lm_step
-        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC, jacobian=True),
-                    10.0)
+        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC), 10.0)
         assert np.array_equal(rep.theta_star, theta0 + d)
 
     def test_admm_never_used_for_quadratic(self, rng, monkeypatch):
@@ -99,7 +107,7 @@ class TestLpa:
         shape, X, y = _one_point_problem()
         theta = rng.uniform(-0.5, 0.5, shape.n)
         from signet.subsolvers import lm_step
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
+        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
         d = lm_step(ev, 10.0)
         assert subproblem_model_value(ev, d, 10.0, LossKind.QUADRATIC) \
             <= outer_value(ev.F, LossKind.QUADRATIC) + 1e-15
@@ -111,7 +119,7 @@ class TestBacktrack:
         X = rng.uniform(0, 1, (8, 2))
         y = rng.normal(size=8)
         theta = rng.uniform(-0.5, 0.5, shape.n)
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC, jacobian=True)
+        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
         return shape, X, y, theta, ev
 
     def test_full_step_accepted_when_rule_holds(self, rng):
@@ -207,8 +215,7 @@ class TestGlpa:
         assert rep.stop_reason == "step_tol"
         assert rep.trace[-1].accepted is accepted
         from signet.subsolvers import lm_step
-        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC, jacobian=True),
-                    10.0)
+        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC), 10.0)
         expected = theta0 + 0.5 * d if accepted else theta0
         assert np.array_equal(rep.theta_star, expected)
 
@@ -300,8 +307,8 @@ class TestBaselines:
         y = rng.normal(size=6) * 0.2
         theta0 = rng.uniform(-0.5, 0.5, shape.n)
         # numeric curvature estimate along the path sets a safe rate
-        ev = inner_eval(theta0, shape, X, y, LossKind.QUADRATIC, jacobian=True)
-        lipschitz = 2.0 / ev.m * np.linalg.norm(ev.J, 2) ** 2 * 4
+        J = inner_eval(theta0, shape, X, y, LossKind.QUADRATIC).jacobian()
+        lipschitz = 2.0 / J.shape[0] * np.linalg.norm(J, 2) ** 2 * 4
         rep = baseline_fit(X, y, shape, LossKind.QUADRATIC, "sgdm", theta0,
                            lr=min(1e-1, 1.0 / lipschitz), momentum=0.0, iters=200)
         objs = [r.objective for r in rep.trace] + [rep.final_objective]

@@ -3,15 +3,15 @@ import pytest
 import scipy.linalg
 
 from signet.losses import LossKind, prox
-from signet.model import NetworkShape, ResidualEval, inner_eval
+from signet.model import NetworkShape, inner_eval
 from signet.subsolvers import (AdmmConfig, AdmmTrace, admm_solve, lm_step,
                                subproblem_model_value)
 
-from conftest import pack_params, random_instance, scalar_loss
+from conftest import DenseEval, pack_params, random_instance, scalar_loss
 
 
 def _random_eval(rng, m, n, scale=1.0):
-    return ResidualEval(F=rng.normal(size=m) * scale, J=rng.normal(size=(m, n)))
+    return DenseEval(F=rng.normal(size=m) * scale, J=rng.normal(size=(m, n)))
 
 
 def reference_admm(ev, t, loss, cfg):
@@ -93,12 +93,12 @@ def _count_linalg(monkeypatch):
 
 class TestLmStep:
     def test_zero_residual_gives_zero_step(self, rng):
-        ev = ResidualEval(F=np.zeros(4), J=rng.normal(size=(4, 6)))
+        ev = DenseEval(F=np.zeros(4), J=rng.normal(size=(4, 6)))
         assert np.allclose(lm_step(ev, 1.0), 0.0)
 
     def test_scalar_case_by_hand(self):
         # (2*1*1 + 1) * d = -2*1*1  ->  d = -2/3
-        ev = ResidualEval(F=np.array([1.0]), J=np.array([[1.0]]))
+        ev = DenseEval(F=np.array([1.0]), J=np.array([[1.0]]))
         assert lm_step(ev, 1.0)[0] == pytest.approx(-2 / 3)
 
     def test_optimality_residual_small(self, rng):
@@ -140,7 +140,7 @@ class TestLmStep:
 def test_overflowing_gram_matrix_raises(rng, solve):
     # J is finite but J J^T overflows: the subproblem-matrix guard, the only
     # finiteness check ahead of the Cholesky factorization, must catch it
-    ev = ResidualEval(F=rng.normal(size=5), J=rng.normal(size=(5, 7)) * 1e160)
+    ev = DenseEval(F=rng.normal(size=5), J=rng.normal(size=(5, 7)) * 1e160)
     assert np.all(np.isfinite(ev.J))
     with pytest.raises(FloatingPointError, match="subproblem matrix"):
         solve(ev)
@@ -165,7 +165,7 @@ def test_overflowing_hidden_pass_gram_raises(solve):
 
 class TestAdmm:
     def test_zero_residual_fixed_point(self, rng):
-        ev = ResidualEval(F=np.zeros(4), J=rng.normal(size=(4, 5)))
+        ev = DenseEval(F=np.zeros(4), J=rng.normal(size=(4, 5)))
         d, tr = admm_solve(ev, 1.0, LossKind.ABSOLUTE, AdmmConfig())
         assert np.allclose(d, 0.0)
         assert tr.iterations == 1
@@ -175,7 +175,7 @@ class TestAdmm:
 
     def test_scalar_absolute_against_golden_section(self):
         # min |2 + d| / 1 + d^2 / (2e6): minimizer essentially -2
-        ev = ResidualEval(F=np.array([2.0]), J=np.array([[1.0]]))
+        ev = DenseEval(F=np.array([2.0]), J=np.array([[1.0]]))
         cfg = AdmmConfig(rho=1e-2, eps=1e-4, max_iters=5000)
         d, tr = admm_solve(ev, 1e6, LossKind.ABSOLUTE, cfg)
         assert abs(d[0] - (-2.0)) <= 1e-3
@@ -220,7 +220,7 @@ class TestAdmm:
         # cold-start iterate: the residuals are measured relative to its size
         ev = _random_eval(rng, 6, 8, scale=1e-4)
         if loss is LossKind.HINGE:
-            ev = ResidualEval(F=1.0 + ev.F, J=ev.J)
+            ev = DenseEval(F=1.0 + ev.F, J=ev.J)
         d, tr = admm_solve(ev, 1e5, loss,
                            AdmmConfig(rho=1e-2, eps=1e-2, max_iters=5000))
         assert tr.iterations > 1
@@ -250,7 +250,7 @@ class TestAdmm:
     def test_matches_parameter_space_reference(self, rng, m, n, loss, t, cfg):
         ev = _random_eval(rng, m, n)
         if loss is LossKind.HINGE:
-            ev = ResidualEval(F=1.0 + ev.F, J=ev.J)
+            ev = DenseEval(F=1.0 + ev.F, J=ev.J)
         d, tr = admm_solve(ev, t, loss, cfg)
         d_ref, ref = reference_admm(ev, t, loss, cfg)
         assert (tr.iterations, tr.converged) == (ref.iterations, ref.converged)
@@ -275,7 +275,7 @@ def test_bitwise_equal_to_cholesky_reference(rng, m, n, loss):
     # of the C-ordered factorization
     ev = _random_eval(rng, m, n)
     if loss is LossKind.HINGE:
-        ev = ResidualEval(F=1.0 + ev.F, J=ev.J)
+        ev = DenseEval(F=1.0 + ev.F, J=ev.J)
     t, cfg = 1e5, AdmmConfig(rho=1e-2, eps=1e-2, max_iters=20)
     for c in (2.0 / m, cfg.rho):
         K = ev.J @ ev.J.T
@@ -299,7 +299,7 @@ class TestModelValue:
         assert got == pytest.approx(outer_value(ev.F, LossKind.ABSOLUTE))
 
     def test_decoupled_when_jacobian_zero(self, rng):
-        ev = ResidualEval(F=np.array([1.0, -1.0]), J=np.zeros((2, 3)))
+        ev = DenseEval(F=np.array([1.0, -1.0]), J=np.zeros((2, 3)))
         z = rng.normal(size=3)
         t = 7.0
         got = subproblem_model_value(ev, z, t, LossKind.ABSOLUTE)
