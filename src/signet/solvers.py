@@ -49,7 +49,9 @@ class IterationRecord:
 class FitReport:
     theta_star: np.ndarray
     trace: list[IterationRecord]
-    stop_reason: str        # "step_tol", "max_outer" or "line_search_failed"
+    # "step_tol", "max_outer", or "line_search_failed": no trial step met
+    # the line-search rule, so the last step was not taken
+    stop_reason: str
     final_objective: float
 
 
@@ -70,9 +72,8 @@ def backtrack(theta_k, dtheta_k, ev_k: ResidualEval, loss: LossKind,
 
     where model(d) is the subproblem objective at d. A non-finite trial
     objective or model value fails the rule. Returns (eta, trial_count,
-    accepted); if no trial satisfies the rule the smallest trial eta is
-    returned with accepted=False, or eta = 0.0 if the objective is
-    non-finite there too.
+    accepted); if no trial satisfies the rule, eta is the last trial's and
+    accepted is False.
     """
     obj_k = outer_value(ev_k.F, loss)
     eta = 1.0
@@ -90,7 +91,7 @@ def backtrack(theta_k, dtheta_k, ev_k: ResidualEval, loss: LossKind,
                 return eta, trial, True
             if trial < MAX_BACKTRACKS:
                 eta *= TAU
-    return (eta if math.isfinite(obj) else 0.0), MAX_BACKTRACKS, False
+    return eta, MAX_BACKTRACKS, False
 
 
 def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig,
@@ -123,19 +124,12 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
                                          shape, inputs, targets)
         else:
             eta, accepted = 1.0, True
-        # The step that meets step_tol is the last one; it is taken only if
-        # it passes the line-search rule. A step with no finite trial point
-        # to fall back on (eta = 0.0) is never taken and ends the fit.
-        failed = eta == 0.0
-        if not failed and (accepted or not converged):
+        if accepted:
             theta = theta + eta * dtheta
         trace.append(IterationRecord(k, obj, step_norm, eta, admm_iters,
                                      time.perf_counter() - start, accepted))
-        if failed:
-            stop_reason = "line_search_failed"
-            break
-        if converged:
-            stop_reason = "step_tol"
+        if converged or not accepted:
+            stop_reason = "step_tol" if converged else "line_search_failed"
             break
     final_objective = outer_value(
         inner_eval(theta, shape, inputs, targets, loss).F, loss)
@@ -151,9 +145,10 @@ def lpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitRepor
 
 def glpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitReport:
     """LPA with backtracking: theta <- theta + eta*dtheta, eta from the
-    sufficient-decrease rule, so accepted steps never increase the loss.
-    The step whose norm is below step_tol is the last, and is taken only
-    if the rule accepts it."""
+    sufficient-decrease rule. A step is taken only if the rule accepts it.
+    The fit stops after the step whose norm is below step_tol
+    ("step_tol"), or at the first step the rule rejects
+    ("line_search_failed")."""
     return _fit(inputs, targets, shape, loss, cfg, theta0, line_search=True)
 
 

@@ -3,13 +3,25 @@
 # thread count signet ships with.
 import signet  # noqa: F401
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from signet.losses import LossKind
 from signet.model import NetworkShape, inner_eval
+
+
+def load_module(path: Path, name: str):
+    """Import a script or benchmark file by path, as module `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module      # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

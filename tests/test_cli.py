@@ -102,9 +102,15 @@ class TestRun:
         shape = NetworkShape(d=2, q=4)
         report = glpa_fit(train.inputs, train.targets, shape, LossKind.ABSOLUTE,
                           SolverConfig(max_outer=30), init_params(shape, "uniform", 0))
-        cells = [row["accepted"] for row in _read_trace(out)]
+        trace = _read_trace(out)
+        cells = [row["accepted"] for row in trace]
         assert cells == [str(int(rec.accepted)) for rec in report.trace]
         assert set(cells) == {"0", "1"}
+        # the first rejected step is not taken and ends the fit
+        assert cells[:-1] == ["1"] * (len(cells) - 1) and cells[-1] == "0"
+        assert _read_summary(out)["stop_reason"] == "line_search_failed"
+        objs = [float(row["objective"]) for row in trace]
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
 
     def test_save_model_roundtrip(self, tmp_path):
         out = tmp_path / "o"

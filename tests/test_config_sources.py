@@ -3,7 +3,6 @@ experiment scripts in scripts/, the benchmark workloads in
 perfbench/workloads.py, and the fits of tests/test_acceptance.py. This
 checks that all three run the same fits."""
 
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -13,22 +12,16 @@ import pytest
 import test_acceptance as acceptance
 from signet.cli import _solver_config, build_parser
 
+from conftest import load_module
+
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = ("0-1", "2-5", "3-7", "6-9")
-
-
-def _load(path: Path, name: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module      # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
 
 
 def _script_argvs(monkeypatch, tmp_path, script: str, *script_args) -> list:
     """The argument lists scripts/<script>.py passes to the CLI, recorded
     instead of run."""
-    module = _load(ROOT / "scripts" / f"{script}.py", f"_script_{script}")
+    module = load_module(ROOT / "scripts" / f"{script}.py", f"_script_{script}")
     calls = []
 
     def record(argv):
@@ -48,7 +41,7 @@ def _script_argvs(monkeypatch, tmp_path, script: str, *script_args) -> list:
     return calls
 
 
-WORKLOADS = _load(ROOT / "perfbench" / "workloads.py", "_perfbench_workloads").WORKLOADS
+WORKLOADS = load_module(ROOT / "perfbench" / "workloads.py", "_perfbench_workloads").WORKLOADS
 
 
 def _bench_argv(workload: str, label: str) -> list:
@@ -82,3 +75,19 @@ def test_scripts_benchmark_and_acceptance_agree(monkeypatch, tmp_path, script,
         assert _without_out(args) == _without_out(
             parser.parse_args(_bench_argv(workload, label))), label
         assert (_solver_config(args), args.q, args.init, args.seed) == setup, label
+
+
+def test_digits_sweep_defaults_are_the_acceptance_fits():
+    # scripts/digits_sweep.py runs the digits_allpairs fits, over more seeds
+    sweep = load_module(ROOT / "scripts" / "digits_sweep.py", "_script_digits_sweep")
+    defaults = sweep.build_parser().parse_args([])
+    assert defaults.seeds == list(range(8))
+    [q], [rho] = defaults.q, defaults.rho
+    assert len(sweep.PAIRS) == 45
+    parser = build_parser()
+    for a, b in sweep.PAIRS:
+        args = parser.parse_args(sweep.run_argv(0, (a, b), q, rho))
+        assert _without_out(args) == _without_out(
+            parser.parse_args(_bench_argv("digits_allpairs", f"pair_{a}-{b}")))
+        assert (_solver_config(args), args.q, args.init, args.seed) == \
+            acceptance.DIGITS_HINGE
