@@ -15,6 +15,7 @@ import numpy as np
 
 DIGITS_ASSET = "digits.csv"
 DIGITS_HEADER = [f"p{i}" for i in range(64)] + ["label"]
+_BUNDLED_DIGITS: list = []      # the bundled file's (pixels, labels), once parsed
 
 
 class DataError(ValueError):
@@ -140,9 +141,18 @@ def _read_csv(path: Path, kind: str, header_ok, header_hint: str = "") -> np.nda
 
 def load_digits_csv(path=None) -> tuple[np.ndarray, np.ndarray]:
     """Parse the digits CSV (header p0..p63,label) into pixels (N, 64) and
-    integer labels (N,), validating pixel range [0, 16] and label range 0..9."""
-    path = Path(path if path is not None
-                else resources.files("signet") / "assets" / DIGITS_ASSET)
+    integer labels (N,), validating pixel range [0, 16] and label range 0..9.
+    A given path is read on every call. Without one, the bundled file is
+    parsed on the first call only, and every call shares its arrays, which
+    are read-only."""
+    if path is None:
+        if not _BUNDLED_DIGITS:
+            digits = load_digits_csv(resources.files("signet") / "assets" / DIGITS_ASSET)
+            for array in digits:
+                array.flags.writeable = False
+            _BUNDLED_DIGITS.append(digits)
+        return _BUNDLED_DIGITS[0]
+    path = Path(path)
     values = _read_csv(path, "digits", lambda h: h == DIGITS_HEADER,
                        ": expected p0..p63,label")
     pixels, labels = values[:, :64], values[:, 64]

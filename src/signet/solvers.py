@@ -72,8 +72,8 @@ def backtrack(theta_k, dtheta_k, ev_k: ResidualEval, loss: LossKind,
 
     where model(d) is the subproblem objective at d. A non-finite trial
     objective or model value fails the rule. Returns (eta, trial_count,
-    accepted); if no trial satisfies the rule, eta is the last trial's and
-    accepted is False.
+    ev), ev the accepted trial's evaluation, with ev_k's input Gram; if no
+    trial satisfies the rule, eta is the last trial's and ev is None.
     """
     obj_k = outer_value(ev_k.F, loss)
     eta = 1.0
@@ -82,16 +82,17 @@ def backtrack(theta_k, dtheta_k, ev_k: ResidualEval, loss: LossKind,
         predicted = subproblem_model_value(ev_k, dtheta_k, cfg.t, loss) - obj_k
         for trial in range(1, MAX_BACKTRACKS + 1):
             try:
-                obj = outer_value(inner_eval(theta_k + eta * dtheta_k, shape,
-                                             inputs, targets, loss).F, loss)
+                ev = inner_eval(theta_k + eta * dtheta_k, shape, inputs, targets,
+                                loss, input_gram=ev_k.input_gram)
+                obj = outer_value(ev.F, loss)
             except FloatingPointError:      # non-finite residuals
                 obj = math.inf
             if (math.isfinite(obj) and math.isfinite(predicted)
                     and obj - obj_k <= C * eta * predicted):
-                return eta, trial, True
+                return eta, trial, ev
             if trial < MAX_BACKTRACKS:
                 eta *= TAU
-    return eta, MAX_BACKTRACKS, False
+    return eta, MAX_BACKTRACKS, None
 
 
 def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig,
@@ -109,9 +110,8 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
     # the subsolvers use J only through ev.gram, ev.jtr and ev.jv, formed
     # from the hidden-layer pass and this Gram of the fixed inputs
     input_gram = _input_gram(inputs)
+    ev = inner_eval(theta, shape, inputs, targets, loss, input_gram=input_gram)
     for k in range(cfg.max_outer):
-        ev = inner_eval(theta, shape, inputs, targets, loss,
-                        input_gram=input_gram)
         obj = outer_value(ev.F, loss)
         if not np.isfinite(obj):
             raise FloatingPointError(f"non-finite objective at iteration {k}")
@@ -120,21 +120,21 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
             step_norm = float(np.linalg.norm(dtheta))
         converged = step_norm < cfg.step_tol
         if line_search:
-            eta, _, accepted = backtrack(theta, dtheta, ev, loss, cfg,
-                                         shape, inputs, targets)
+            eta, _, next_ev = backtrack(theta, dtheta, ev, loss, cfg,
+                                        shape, inputs, targets)
         else:
-            eta, accepted = 1.0, True
+            eta, next_ev = 1.0, inner_eval(theta + dtheta, shape, inputs, targets,
+                                           loss, input_gram=input_gram)
+        accepted = next_ev is not None
         if accepted:
-            theta = theta + eta * dtheta
+            theta, ev = theta + eta * dtheta, next_ev
         trace.append(IterationRecord(k, obj, step_norm, eta, admm_iters,
                                      time.perf_counter() - start, accepted))
         if converged or not accepted:
             stop_reason = "step_tol" if converged else "line_search_failed"
             break
-    final_objective = outer_value(
-        inner_eval(theta, shape, inputs, targets, loss).F, loss)
     return FitReport(theta_star=theta, trace=trace, stop_reason=stop_reason,
-                     final_objective=final_objective)
+                     final_objective=outer_value(ev.F, loss))
 
 
 def lpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitReport:
@@ -145,10 +145,10 @@ def lpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitRepor
 
 def glpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitReport:
     """LPA with backtracking: theta <- theta + eta*dtheta, eta from the
-    sufficient-decrease rule. A step is taken only if the rule accepts it.
-    The fit stops after the step whose norm is below step_tol
-    ("step_tol"), or at the first step the rule rejects
-    ("line_search_failed")."""
+    sufficient-decrease rule. A step is taken only if the rule accepts it,
+    and the accepted trial's evaluation is the next iteration's. The fit
+    stops after the step whose norm is below step_tol ("step_tol"), or at
+    the first step the rule rejects ("line_search_failed")."""
     return _fit(inputs, targets, shape, loss, cfg, theta0, line_search=True)
 
 

@@ -5,13 +5,16 @@ import os
 import platform
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 import scipy
 
-from signet.cli import _solver_config, build_parser, main
-from signet.data import load_dataset_csv, make_franke_datasets, split_dataset
+import signet.data as data_mod
+from signet.cli import _setup, _solver_config, build_parser, main
+from signet.data import (load_dataset_csv, load_digits_csv, make_franke_datasets,
+                         split_dataset)
 from signet.diagnostics import max_error, rms_error
 from signet.losses import LossKind
 from signet.model import NetworkShape, init_params, predict
@@ -215,6 +218,32 @@ class TestRun:
         assert summary["metrics"]["training_size"] == 252
         assert summary["metrics"]["test_size"] == 108
         assert isinstance(summary["metrics"]["test_errors"], int)
+
+    def test_digits_setup_parses_the_bundled_file_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_mod, "_BUNDLED_DIGITS", [])    # not yet parsed
+        parsed = []
+        real_read = data_mod._read_csv
+
+        def recording_read(path, *args, **kwargs):
+            parsed.append(path)
+            return real_read(path, *args, **kwargs)
+
+        monkeypatch.setattr(data_mod, "_read_csv", recording_read)
+        argv = ["run", "--task", "digits", "--loss", "hinge", "--q", "4"]
+        for pair in ("0,1", "3,7"):
+            _setup(build_parser().parse_args(argv + ["--pair", pair]))
+        assert len(parsed) == 1
+        # every caller shares the parsed arrays, so none may change them
+        pixels, labels = load_digits_csv()
+        assert not pixels.flags.writeable and not labels.flags.writeable
+        assert len(parsed) == 1
+        # a --data file is read on every call
+        export = tmp_path / "digits.csv"
+        export.write_bytes((resources.files("signet") / "assets" / "digits.csv")
+                           .read_bytes())
+        for _ in range(2):
+            _setup(build_parser().parse_args(argv + ["--data", str(export)]))
+        assert parsed[1:] == [export, export]
 
     def test_reproducible_reruns(self, tmp_path):
         args = ["run", "--task", "franke", "--q", "6", "--n-train", "30",

@@ -72,14 +72,19 @@ class TestLpa:
         assert abs(predict(rep.theta_star, shape, X)[0] - 0.75) <= 1e-3
 
     def test_trace_and_report_consistency(self, rng):
-        shape, X, y = _one_point_problem()
-        rep = lpa_fit(X, y, shape, LossKind.QUADRATIC,
-                      SolverConfig(t=10.0, max_outer=50), rng.uniform(-0.5, 0.5, shape.n))
-        assert rep.trace
-        ev = inner_eval(rep.theta_star, shape, X, y, LossKind.QUADRATIC)
-        assert rep.final_objective == pytest.approx(outer_value(ev.F, LossKind.QUADRATIC))
-        if rep.stop_reason == "step_tol":
-            assert rep.trace[-1].step_norm < 1e-2 or rep.trace[-1].step_norm < 1e-6
+        # LPA and GLPA on every loss: the final objective is, bitwise, that
+        # of the final iterate
+        shape, X, _ = _one_point_problem()
+        for fit in (lpa_fit, glpa_fit):
+            for loss in LossKind:
+                y = np.array([1.0 if loss is LossKind.HINGE else 0.75])
+                rep = fit(X, y, shape, loss, SolverConfig(t=10.0, max_outer=50),
+                          rng.uniform(-0.5, 0.5, shape.n))
+                assert rep.trace
+                ev = inner_eval(rep.theta_star, shape, X, y, loss)
+                assert rep.final_objective == outer_value(ev.F, loss)
+                if rep.stop_reason == "step_tol":
+                    assert rep.trace[-1].step_norm < 1e-2
 
     def test_last_step_below_step_tol_is_taken(self, rng):
         shape, X, y = _one_point_problem()
@@ -121,7 +126,8 @@ class TestBacktrack:
         X = rng.uniform(0, 1, (8, 2))
         y = rng.normal(size=8)
         theta = rng.uniform(-0.5, 0.5, shape.n)
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
+        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC,
+                        input_gram=model_mod._input_gram(X))
         return shape, X, y, theta, ev
 
     def test_full_step_accepted_when_rule_holds(self, rng):
@@ -129,18 +135,20 @@ class TestBacktrack:
         from signet.subsolvers import lm_step
         cfg = SolverConfig(t=1.0)
         d = lm_step(ev, cfg.t)
-        eta, evals, accepted = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
+        eta, evals, trial_ev = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
                                          shape, X, y)
         # small t makes the step conservative, the unit step passes the rule
-        assert accepted and eta == 1.0 and evals == 1
+        assert trial_ev is not None and eta == 1.0 and evals == 1
+        assert np.array_equal(trial_ev.F,
+                              inner_eval(theta + d, shape, X, y, LossKind.QUADRATIC).F)
 
     def test_geometric_schedule(self, rng):
         shape, X, y, theta, ev = self._setup(rng)
         cfg = SolverConfig(t=1.0)
         # a deliberately bad huge direction forces shrinking
         d = np.ones(shape.n) * 50.0
-        eta, evals, accepted = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
-                                         shape, X, y)
+        eta, evals, _ = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
+                                  shape, X, y)
         assert eta == pytest.approx(solvers_mod.TAU ** (evals - 1))
 
     def test_non_finite_trial_shrinks_step(self, rng, monkeypatch):
@@ -158,17 +166,24 @@ class TestBacktrack:
 
         monkeypatch.setattr(solvers_mod, "inner_eval", first_trial_non_finite)
         # the unit step would pass (test_full_step_accepted_when_rule_holds)
-        assert backtrack(theta, d, ev, LossKind.QUADRATIC, cfg, shape, X, y) == \
-            (solvers_mod.TAU, 2, True)
+        eta, evals, trial_ev = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
+                                         shape, X, y)
+        assert (eta, evals) == (solvers_mod.TAU, 2)
+        # the accepted trial's evaluation is returned, bitwise the one at
+        # theta + eta*d, with the caller's input Gram
+        fresh = inner_eval(theta + eta * d, shape, X, y, LossKind.QUADRATIC)
+        assert np.array_equal(trial_ev.F, fresh.F)
+        assert trial_ev.input_gram is ev.input_gram
 
     def test_all_trials_non_finite(self, rng):
         shape, X, y, theta, ev = self._setup(rng)
         cfg = SolverConfig(t=1.0)
         d = np.full(shape.n, 1e308)
-        # rejected: the last trial's eta, which the fit does not take
+        # rejected: the last trial's eta, which the fit does not take, and
+        # no evaluation
         assert backtrack(theta, d, ev, LossKind.QUADRATIC, cfg, shape, X, y) == \
             (solvers_mod.TAU ** (solvers_mod.MAX_BACKTRACKS - 1),
-             solvers_mod.MAX_BACKTRACKS, False)
+             solvers_mod.MAX_BACKTRACKS, None)
 
     def test_accepted_steps_descend(self, rng):
         shape = NetworkShape(d=1, q=2)
@@ -205,8 +220,11 @@ class TestGlpa:
 
     @pytest.mark.parametrize("accepted", [True, False])
     def test_last_step_taken_only_if_accepted(self, rng, monkeypatch, accepted):
-        monkeypatch.setattr(solvers_mod, "backtrack",
-                            lambda *args, **kwargs: (0.5, 2, accepted))
+        def half_step(theta, d, ev, loss, cfg, shape, X, y):
+            trial_ev = inner_eval(theta + 0.5 * d, shape, X, y, loss)
+            return 0.5, 2, trial_ev if accepted else None
+
+        monkeypatch.setattr(solvers_mod, "backtrack", half_step)
         shape, X, y = _one_point_problem()
         theta0 = rng.uniform(-0.5, 0.5, shape.n)
         rep = glpa_fit(X, y, shape, LossKind.QUADRATIC,
@@ -217,6 +235,8 @@ class TestGlpa:
         d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC), 10.0)
         expected = theta0 + 0.5 * d if accepted else theta0
         assert np.array_equal(rep.theta_star, expected)
+        assert rep.final_objective == outer_value(
+            inner_eval(expected, shape, X, y, LossKind.QUADRATIC).F, LossKind.QUADRATIC)
 
     def test_non_finite_step_is_never_taken(self, rng, monkeypatch):
         # the squared residual overflows at every trial point, down to the
@@ -250,6 +270,38 @@ class TestGlpa:
         assert len(rep.trace) > 1
         assert builds["n"] == 0
         assert grams["n"] == 1
+
+    @pytest.mark.parametrize("fit,loss", [(lpa_fit, LossKind.QUADRATIC),
+                                          (glpa_fit, LossKind.QUADRATIC),
+                                          (glpa_fit, LossKind.ABSOLUTE),
+                                          (glpa_fit, LossKind.HINGE)])
+    def test_each_point_evaluated_once(self, rng, monkeypatch, fit, loss):
+        # GLPA's accepted trial is the next iterate's evaluation, and LPA
+        # evaluates each point after its step: one evaluation per point
+        grams, trials = [], []
+        real_eval, real_backtrack = solvers_mod.inner_eval, solvers_mod.backtrack
+
+        def recording_eval(*args, **kwargs):
+            grams.append(kwargs.get("input_gram"))
+            return real_eval(*args, **kwargs)
+
+        def recording_backtrack(*args, **kwargs):
+            result = real_backtrack(*args, **kwargs)
+            trials.append(result[1])
+            return result
+
+        monkeypatch.setattr(solvers_mod, "inner_eval", recording_eval)
+        monkeypatch.setattr(solvers_mod, "backtrack", recording_backtrack)
+        shape = NetworkShape(d=2, q=3)
+        X = rng.uniform(0, 1, (10, 2))
+        y = rng.choice([-1.0, 1.0], size=10) if loss is LossKind.HINGE \
+            else rng.normal(size=10)
+        rep = fit(X, y, shape, loss, SolverConfig(t=100.0, max_outer=15),
+                  rng.uniform(-0.5, 0.5, shape.n))
+        assert len(rep.trace) > 1
+        assert len(grams) == 1 + (sum(trials) if fit is glpa_fit else len(rep.trace))
+        # every evaluation, trials included, carries the fit's one input Gram
+        assert grams[0] is not None and all(g is grams[0] for g in grams)
 
     def test_deterministic_reruns(self, rng):
         shape = NetworkShape(d=1, q=2)
