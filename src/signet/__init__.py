@@ -7,10 +7,12 @@ import sys
 
 # One BLAS thread unless the caller's environment says otherwise. At the
 # subproblem sizes here (m in the hundreds) a second OpenBLAS thread makes a
-# whole fit several times slower, for a cause not yet explained: the Franke
-# quadratic lpa_fit took 1.06-1.16 s on one thread and 6.25-7.62 s (12-13 s
-# of CPU time) on two, on a 2-vCPU VM. It also changes results in the last
-# bits.
+# whole fit several times slower: the Franke quadratic lpa_fit took
+# 1.06-1.16 s on one thread and 6.25-7.62 s (12-13 s of CPU time) on two, on
+# a 2-vCPU VM. The cause is that numpy and scipy each load their own
+# OpenBLAS, and a fit alternates calls between them (numpy's A @ A.T, then
+# scipy's dsyrk), so the two libraries' thread pools contend for the CPUs.
+# It also changes results in the last bits.
 # OpenBLAS reads the variables once, when numpy loads it; if numpy is already
 # loaded, setting them would pin only the scipy OpenBLAS loaded later, a
 # mixed state, so the environment is left alone and _blas_threads is None.
@@ -26,7 +28,7 @@ from .diagnostics import adaptive_network_size, jacobian_rank, max_error, rms_er
 from .losses import LossKind, outer_value, prox
 from .model import NetworkShape, ResidualEval, init_params, inner_eval, predict
 from .solvers import AdmmConfig, FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
-from .subsolvers import admm_solve, lm_step, subproblem_model_value
+from .subsolvers import admm_solve, lm_step
 
 __all__ = [
     "AdmmConfig", "Dataset", "FitReport", "LossKind",
@@ -34,7 +36,7 @@ __all__ = [
     "adaptive_network_size", "admm_solve", "baseline_fit", "glpa_fit",
     "init_params", "inner_eval", "jacobian_rank", "lm_step", "lpa_fit",
     "make_binary_task", "make_franke_datasets", "max_error", "outer_value",
-    "predict", "prox", "rms_error", "subproblem_model_value",
+    "predict", "prox", "rms_error",
 ]
 
 __version__ = "0.1.0"

@@ -103,6 +103,8 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def _load_task(args) -> tuple[data_mod.Dataset, data_mod.Dataset]:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.task == "franke":
         noise = (data_mod.NoiseSpec(args.noise_sigma, args.seed)
                  if args.noise_sigma is not None else None)

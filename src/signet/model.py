@@ -1,5 +1,5 @@
 """Three-layer sigmoid network: predictions, the per-sample residual map F
-with its Jacobian J, and the products J J^T, J^T r and J v, all from one
+with its Jacobian J, and the products J J^T and J^T r, all from one
 hidden-layer pass.
 
 Parameter layout is fixed as [w (q) | v (q*d, neuron-major) | u (q) | w0],
@@ -41,9 +41,9 @@ class ResidualEval:
     """Residual vector F (length m) of one hidden-layer pass, kept with the
     pass: inputs X, output weights w, activations S = sigmoid(X V^T + u),
     the row signs (the hinge labels, or None) and the input Gram
-    [X | 1][X | 1]^T (or None, and gram forms it). From these, gram, jtr
-    and jv form alpha J J^T, J^T r and J v without the Jacobian J, and
-    jacobian builds J."""
+    [X | 1][X | 1]^T (or None, and gram forms it). From these, gram and jtr
+    form alpha J J^T and J^T r without the Jacobian J, and jacobian builds
+    J."""
 
     F: np.ndarray
     X: np.ndarray = field(repr=False)
@@ -59,11 +59,6 @@ class ResidualEval:
     @property
     def m(self) -> int:
         return self.F.shape[0]
-
-    @property
-    def n(self) -> int:
-        """Parameter count, the length of J^T r."""
-        return (self.X.shape[1] + 2) * self.w.shape[0] + 1
 
     def gram(self, alpha: float) -> np.ndarray:
         """alpha J J^T (m x m) in Fortran order; only its lower triangle,
@@ -99,14 +94,6 @@ class ResidualEval:
         Spr = S * (1.0 - S) * r[:, None]      # sigmoid'(A) scaled by r
         return np.concatenate([r @ S, (w[:, None] * (Spr.T @ self.X)).ravel(),
                                w * Spr.sum(axis=0), [r.sum()]])
-
-    def jv(self, v: np.ndarray) -> np.ndarray:
-        """J v, formed in O(m*q*d) from the hidden-layer activations
-        without building J."""
-        X, w, S = self.X, self.w, self.S
-        dw, dV, du, dw0 = split_params(v, NetworkShape(X.shape[1], w.shape[0]))
-        Jv = S @ dw + (S * (1.0 - S) * (X @ dV.T + du)) @ w + dw0
-        return Jv if self.sign is None else self.sign * Jv
 
     def jacobian(self) -> np.ndarray:
         """The Jacobian J of the residual map, rows grad f(x_i) scaled by

@@ -13,7 +13,7 @@ import numpy as np
 
 from .losses import LossKind, outer_gradient, outer_value
 from .model import NetworkShape, ResidualEval, _input_gram, inner_eval
-from .subsolvers import AdmmConfig, admm_solve, lm_step, subproblem_model_value
+from .subsolvers import AdmmConfig, admm_solve, lm_step
 
 
 # line search: sufficient-decrease fraction, step shrink factor, trial cap
@@ -55,31 +55,23 @@ class FitReport:
     final_objective: float
 
 
-def _solve_subproblem(ev: ResidualEval, loss: LossKind, cfg: SolverConfig):
-    if loss is LossKind.QUADRATIC:
-        return lm_step(ev, cfg.t), 0
-    dtheta, tr = admm_solve(ev, cfg.t, loss, cfg.admm)
-    return dtheta, tr.iterations
-
-
-def backtrack(theta_k, dtheta_k, ev_k: ResidualEval, loss: LossKind,
-              cfg: SolverConfig, shape: NetworkShape, inputs, targets):
+def backtrack(theta_k, dtheta_k, predicted: float, ev_k: ResidualEval,
+              loss: LossKind, shape: NetworkShape, inputs, targets):
     """Find the largest eta in {1, TAU, TAU^2, ...} (at most MAX_BACKTRACKS
     trials) satisfying the sufficient-decrease rule
 
-        outer(F(theta + eta*d)) - outer(F(theta))
-            <= C * eta * (model(d) - outer(F(theta))),
+        outer(F(theta + eta*d)) - outer(F(theta)) <= C * eta * predicted,
 
-    where model(d) is the subproblem objective at d. A non-finite trial
-    objective or model value fails the rule. Returns (eta, trial_count,
-    ev), ev the accepted trial's evaluation, with ev_k's input Gram; if no
-    trial satisfies the rule, eta is the last trial's and ev is None.
+    where predicted = model(d) - outer(F(theta)), model(d) the subproblem
+    objective at d that the subsolver returns. A non-finite trial objective
+    or predicted decrease fails the rule. Returns (eta, trial_count, ev), ev
+    the accepted trial's evaluation, with ev_k's input Gram; if no trial
+    satisfies the rule, eta is the last trial's and ev is None.
     """
     obj_k = outer_value(ev_k.F, loss)
     eta = 1.0
     # an overflowing step gives non-finite values here, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        predicted = subproblem_model_value(ev_k, dtheta_k, cfg.t, loss) - obj_k
         for trial in range(1, MAX_BACKTRACKS + 1):
             try:
                 ev = inner_eval(theta_k + eta * dtheta_k, shape, inputs, targets,
@@ -107,28 +99,31 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
     trace: list[IterationRecord] = []
     start = time.perf_counter()
     stop_reason = "max_outer"
-    # the subsolvers use J only through ev.gram, ev.jtr and ev.jv, formed
-    # from the hidden-layer pass and this Gram of the fixed inputs
+    # the subsolvers use J only through ev.gram and ev.jtr, formed from the
+    # hidden-layer pass and this Gram of the fixed inputs
     input_gram = _input_gram(inputs)
     ev = inner_eval(theta, shape, inputs, targets, loss, input_gram=input_gram)
     for k in range(cfg.max_outer):
         obj = outer_value(ev.F, loss)
         if not np.isfinite(obj):
             raise FloatingPointError(f"non-finite objective at iteration {k}")
-        dtheta, admm_iters = _solve_subproblem(ev, loss, cfg)
+        if loss is LossKind.QUADRATIC:
+            dtheta, info = lm_step(ev, cfg.t)
+        else:
+            dtheta, info = admm_solve(ev, cfg.t, loss, cfg.admm)
         with np.errstate(over="ignore", invalid="ignore"):
             step_norm = float(np.linalg.norm(dtheta))
         converged = step_norm < cfg.step_tol
         if line_search:
-            eta, _, next_ev = backtrack(theta, dtheta, ev, loss, cfg,
-                                        shape, inputs, targets)
+            eta, _, next_ev = backtrack(theta, dtheta, info.model_value - obj, ev,
+                                        loss, shape, inputs, targets)
         else:
             eta, next_ev = 1.0, inner_eval(theta + dtheta, shape, inputs, targets,
                                            loss, input_gram=input_gram)
         accepted = next_ev is not None
         if accepted:
             theta, ev = theta + eta * dtheta, next_ev
-        trace.append(IterationRecord(k, obj, step_norm, eta, admm_iters,
+        trace.append(IterationRecord(k, obj, step_norm, eta, info.iterations,
                                      time.perf_counter() - start, accepted))
         if converged or not accepted:
             stop_reason = "step_tol" if converged else "line_search_failed"

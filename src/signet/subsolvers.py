@@ -4,6 +4,8 @@
 
 Quadratic loss has a closed-form regularized least-squares step; absolute
 and hinge losses are handled by ADMM with closed-form proximal updates.
+Both return (dtheta, StepInfo): the step and the subproblem objective at
+it, formed from the residual-space solve without a product with J.
 """
 
 from __future__ import annotations
@@ -32,12 +34,18 @@ class AdmmConfig:
             raise ValueError(f"invalid ADMM config {self}")
 
 
-@dataclass
-class AdmmTrace:
-    iterations: int
-    final_primal_residual_norm: float
-    final_dual_residual_norm: float
-    converged: bool
+@dataclass(frozen=True)
+class StepInfo:
+    """What a subsolver knows of its step: the subproblem objective
+    outer(F + J dtheta) + ||dtheta||^2/(2t) there, and the ADMM iteration
+    count, final residual norms and convergence flag (0, 0.0, 0.0, True
+    for the exact LM step)."""
+
+    model_value: float
+    iterations: int = 0
+    final_primal_residual_norm: float = 0.0
+    final_dual_residual_norm: float = 0.0
+    converged: bool = True
 
 
 def _factor(ev: ResidualEval, c: float, t: float):
@@ -59,17 +67,19 @@ def _factor(ev: ResidualEval, c: float, t: float):
                                    check_finite=False)[0]
 
 
-def lm_step(ev: ResidualEval, t: float) -> np.ndarray:
+def lm_step(ev: ResidualEval, t: float) -> tuple[np.ndarray, StepInfo]:
     """Closed-form quadratic-loss step d = -((2/m) J^T J + I/t)^{-1} (2/m) J^T F,
     computed as d = -t c J^T K^{-1} F with c = 2/m: K from ev.gram, J^T z
-    from ev.jtr, so no Jacobian is built."""
-    c = 2.0 / ev.m
-    z, _ = dpotrs(_factor(ev, c, t), ev.F, lower=1)
-    return -(t * c) * ev.jtr(z)
+    from ev.jtr, so no Jacobian is built. With z = K^{-1} F, F + J d = z and
+    ||d||^2/(2t) = c z^T (F - z)/2 give the model value."""
+    F, c = ev.F, 2.0 / ev.m
+    z, _ = dpotrs(_factor(ev, c, t), F, lower=1)
+    model_value = outer_value(z, LossKind.QUADRATIC) + c * float(z @ (F - z)) / 2.0
+    return -(t * c) * ev.jtr(z), StepInfo(model_value)
 
 
 def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
-               cfg: AdmmConfig) -> tuple[np.ndarray, AdmmTrace]:
+               cfg: AdmmConfig) -> tuple[np.ndarray, StepInfo]:
     """ADMM on the split subproblem min outer(mu) + ||dtheta||^2/(2t)
     s.t. mu = F + J dtheta.
 
@@ -84,6 +94,7 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     eps * max(||mu - F||, ||J dtheta||): measured against the size of the
     subproblem's own step, so that a small subproblem does not pass at its
     first, cold-start iterate. Otherwise returns the last iterate unconverged at max_iters.
+    The model value uses J dtheta = w - z and ||dtheta||^2/(2t) = rho z^T (w - z)/2.
     """
     if loss not in (LossKind.ABSOLUTE, LossKind.HINGE):
         raise ValueError(f"ADMM subsolver handles absolute/hinge losses, got {loss!r}")
@@ -117,17 +128,7 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
         if r_norm <= tol and s_norm <= rho * tol:
             converged = True
             break
-    trace = AdmmTrace(iterations=it, final_primal_residual_norm=r_norm,
-                      final_dual_residual_norm=s_norm, converged=converged)
-    return (t * rho) * ev.jtr(z), trace
-
-
-def subproblem_model_value(ev: ResidualEval, dtheta: np.ndarray, t: float,
-                           loss: LossKind) -> float:
-    """Value of the linearized-plus-proximal objective at dtheta."""
-    if not t > 0:
-        raise ValueError(f"stepsize t must be positive, got {t}")
-    dtheta = np.asarray(dtheta, dtype=float)
-    if dtheta.shape != (ev.n,):
-        raise ValueError(f"dtheta has shape {dtheta.shape}, expected ({ev.n},)")
-    return outer_value(ev.F + ev.jv(dtheta), loss) + float(dtheta @ dtheta) / (2.0 * t)
+    model_value = outer_value(F + Jd, loss) + rho * float(z @ Jd) / 2.0
+    info = StepInfo(model_value, iterations=it, final_primal_residual_norm=r_norm,
+                    final_dual_residual_norm=s_norm, converged=converged)
+    return (t * rho) * ev.jtr(z), info

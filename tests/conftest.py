@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signet.losses import LossKind
+from signet.losses import LossKind, outer_value
 from signet.model import NetworkShape, inner_eval
 
 
@@ -52,8 +52,8 @@ def pack_params(w, V, u, w0) -> np.ndarray:
 class DenseEval:
     """A residual evaluation made from an explicit F and Jacobian J: the
     fake of signet.model.ResidualEval for subproblems with a chosen J. It
-    forms m, n, gram, jtr and jv from J, with gram's J @ J.T scaled in
-    place and returned as its transpose (Fortran order), the arithmetic the
+    forms m, gram and jtr from J, with gram's J @ J.T scaled in place and
+    returned as its transpose (Fortran order), the arithmetic the
     subsolvers' bitwise reference repeats."""
 
     F: np.ndarray
@@ -63,10 +63,6 @@ class DenseEval:
     def m(self) -> int:
         return self.F.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.J.shape[1]
-
     def gram(self, alpha: float) -> np.ndarray:
         K = self.J @ self.J.T       # syrk: exactly symmetric
         K *= alpha
@@ -75,8 +71,16 @@ class DenseEval:
     def jtr(self, r: np.ndarray) -> np.ndarray:
         return self.J.T @ r
 
-    def jv(self, v: np.ndarray) -> np.ndarray:
-        return self.J @ v
+
+def subproblem_model_value(ev, dtheta, t, loss) -> float:
+    """The subproblem objective outer(F + J dtheta) + ||dtheta||^2/(2t) at
+    a step, with the dense Jacobian of a DenseEval or a ResidualEval: the
+    oracle for the model value the subsolvers return."""
+    J = ev.J if isinstance(ev, DenseEval) else ev.jacobian()
+    dtheta = np.asarray(dtheta, dtype=float)
+    if dtheta.shape != (J.shape[1],):
+        raise ValueError(f"dtheta has shape {dtheta.shape}, expected ({J.shape[1]},)")
+    return outer_value(ev.F + J @ dtheta, loss) + float(dtheta @ dtheta) / (2.0 * t)
 
 
 def finite_diff_jacobian(theta, shape, inputs, targets, loss, h=1e-5):

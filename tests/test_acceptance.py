@@ -19,10 +19,10 @@ from signet.diagnostics import (adaptive_network_size, classification_errors,
 from signet.losses import LossKind, outer_value, prox
 from signet.model import NetworkShape, init_params, inner_eval, predict
 from signet.solvers import SolverConfig, baseline_fit, glpa_fit, lpa_fit
-from signet.subsolvers import (AdmmConfig, admm_solve, lm_step,
-                               subproblem_model_value)
+from signet.subsolvers import AdmmConfig, admm_solve, lm_step
 
-from conftest import DenseEval, finite_diff_jacobian, random_instance, scalar_loss
+from conftest import (DenseEval, finite_diff_jacobian, random_instance,
+                      scalar_loss, subproblem_model_value)
 from test_losses import golden_section_prox
 
 
@@ -181,7 +181,7 @@ def test_criterion_6c_lm_step_kkt():
         n = int(rng.integers(1, 31))
         ev = DenseEval(F=rng.normal(size=m), J=rng.normal(size=(m, n)))
         t = float(rng.uniform(0.1, 1e4))
-        d = lm_step(ev, t)
+        d, _ = lm_step(ev, t)
         B = (2 / m) * ev.J.T @ ev.J + np.eye(n) / t
         g = (2 / m) * ev.J.T @ ev.F
         assert np.linalg.norm(B @ d + g) <= 1e-10 * (1 + np.linalg.norm(g))

@@ -200,6 +200,18 @@ class TestRun:
         assert "invalid hyperparameters" in err and f"momentum={value}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--task", "franke"], ["compare", "--task", "franke"],
+        ["gen-data", "--task", "digits"],
+    ], ids=["run", "compare", "gen-data"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        # named in the message, not numpy's "expected non-negative integer"
+        out = tmp_path / "o"
+        rc = main([*argv, "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hinge_on_regression_task_fails(self, tmp_path, capsys):
         rc = main(["run", "--task", "franke", "--loss", "hinge",
                    "--out", str(tmp_path / "o")])

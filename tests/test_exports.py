@@ -1,12 +1,16 @@
-"""Every name the package exports has a caller in the program outside the
-module that defines it: the library modules, the experiment scripts and
-the benchmark harness. A name used only by its own module and the tests
-stays importable from that module, not from `signet`."""
+"""Every name the package exports, and every public method and property
+of ResidualEval, has a caller in the program outside the module that
+defines it: the library modules, the experiment scripts and the benchmark
+harness. A name used only by its own module and the tests stays
+importable from that module, not from `signet`; a product used only by
+the tests belongs to the tests' dense-Jacobian oracles."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import signet
+from signet.model import ResidualEval
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +46,14 @@ def test_every_exported_name_has_a_caller_outside_its_module():
                    if path != home):
             uncalled.append(name)
     assert uncalled == []
+
+
+def test_every_residual_eval_method_has_a_caller_outside_model():
+    home = ROOT / "src" / "signet" / "model.py"
+    references = set().union(*(_referenced_names(path) for path in _program_files()
+                               if path != home))
+    public = [name for name, member in vars(ResidualEval).items()
+              if not name.startswith("_")
+              and (inspect.isfunction(member) or isinstance(member, property))]
+    assert {"gram", "jtr", "jacobian", "m"} <= set(public)
+    assert [name for name in public if name not in references] == []

@@ -12,9 +12,9 @@ import signet.solvers as solvers_mod
 from signet.model import NetworkShape, init_params, inner_eval, predict
 from signet.solvers import (SolverConfig, backtrack, baseline_fit, glpa_fit,
                             lpa_fit)
-from signet.subsolvers import AdmmConfig, subproblem_model_value
+from signet.subsolvers import AdmmConfig, StepInfo
 
-from conftest import pack_params
+from conftest import pack_params, subproblem_model_value
 
 
 def _one_point_problem():
@@ -94,7 +94,7 @@ class TestLpa:
         assert rep.stop_reason == "step_tol"
         assert len(rep.trace) == 1
         from signet.subsolvers import lm_step
-        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC), 10.0)
+        d, _ = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC), 10.0)
         assert np.array_equal(rep.theta_star, theta0 + d)
 
     def test_admm_never_used_for_quadratic(self, rng, monkeypatch):
@@ -115,7 +115,7 @@ class TestLpa:
         theta = rng.uniform(-0.5, 0.5, shape.n)
         from signet.subsolvers import lm_step
         ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC)
-        d = lm_step(ev, 10.0)
+        d, _ = lm_step(ev, 10.0)
         assert subproblem_model_value(ev, d, 10.0, LossKind.QUADRATIC) \
             <= outer_value(ev.F, LossKind.QUADRATIC) + 1e-15
 
@@ -130,12 +130,20 @@ class TestBacktrack:
                         input_gram=model_mod._input_gram(X))
         return shape, X, y, theta, ev
 
+    @staticmethod
+    def _predicted(ev, d, t):
+        # the oracle's model value at d, less the objective; an overflowing
+        # d gives a non-finite value here, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (subproblem_model_value(ev, d, t, LossKind.QUADRATIC)
+                    - outer_value(ev.F, LossKind.QUADRATIC))
+
     def test_full_step_accepted_when_rule_holds(self, rng):
         shape, X, y, theta, ev = self._setup(rng)
         from signet.subsolvers import lm_step
-        cfg = SolverConfig(t=1.0)
-        d = lm_step(ev, cfg.t)
-        eta, evals, trial_ev = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
+        d, info = lm_step(ev, 1.0)
+        predicted = info.model_value - outer_value(ev.F, LossKind.QUADRATIC)
+        eta, evals, trial_ev = backtrack(theta, d, predicted, ev, LossKind.QUADRATIC,
                                          shape, X, y)
         # small t makes the step conservative, the unit step passes the rule
         assert trial_ev is not None and eta == 1.0 and evals == 1
@@ -144,18 +152,17 @@ class TestBacktrack:
 
     def test_geometric_schedule(self, rng):
         shape, X, y, theta, ev = self._setup(rng)
-        cfg = SolverConfig(t=1.0)
         # a deliberately bad huge direction forces shrinking
         d = np.ones(shape.n) * 50.0
-        eta, evals, _ = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
-                                  shape, X, y)
+        eta, evals, _ = backtrack(theta, d, self._predicted(ev, d, 1.0), ev,
+                                  LossKind.QUADRATIC, shape, X, y)
         assert eta == pytest.approx(solvers_mod.TAU ** (evals - 1))
 
     def test_non_finite_trial_shrinks_step(self, rng, monkeypatch):
         shape, X, y, theta, ev = self._setup(rng)
         from signet.subsolvers import lm_step
-        cfg = SolverConfig(t=1.0)
-        d = lm_step(ev, cfg.t)
+        d, info = lm_step(ev, 1.0)
+        predicted = info.model_value - outer_value(ev.F, LossKind.QUADRATIC)
         calls = {"n": 0}
 
         def first_trial_non_finite(*args, **kwargs):
@@ -166,7 +173,7 @@ class TestBacktrack:
 
         monkeypatch.setattr(solvers_mod, "inner_eval", first_trial_non_finite)
         # the unit step would pass (test_full_step_accepted_when_rule_holds)
-        eta, evals, trial_ev = backtrack(theta, d, ev, LossKind.QUADRATIC, cfg,
+        eta, evals, trial_ev = backtrack(theta, d, predicted, ev, LossKind.QUADRATIC,
                                          shape, X, y)
         assert (eta, evals) == (solvers_mod.TAU, 2)
         # the accepted trial's evaluation is returned, bitwise the one at
@@ -177,11 +184,11 @@ class TestBacktrack:
 
     def test_all_trials_non_finite(self, rng):
         shape, X, y, theta, ev = self._setup(rng)
-        cfg = SolverConfig(t=1.0)
         d = np.full(shape.n, 1e308)
         # rejected: the last trial's eta, which the fit does not take, and
         # no evaluation
-        assert backtrack(theta, d, ev, LossKind.QUADRATIC, cfg, shape, X, y) == \
+        assert backtrack(theta, d, self._predicted(ev, d, 1.0), ev,
+                         LossKind.QUADRATIC, shape, X, y) == \
             (solvers_mod.TAU ** (solvers_mod.MAX_BACKTRACKS - 1),
              solvers_mod.MAX_BACKTRACKS, None)
 
@@ -220,7 +227,7 @@ class TestGlpa:
 
     @pytest.mark.parametrize("accepted", [True, False])
     def test_last_step_taken_only_if_accepted(self, rng, monkeypatch, accepted):
-        def half_step(theta, d, ev, loss, cfg, shape, X, y):
+        def half_step(theta, d, predicted, ev, loss, shape, X, y):
             trial_ev = inner_eval(theta + 0.5 * d, shape, X, y, loss)
             return 0.5, 2, trial_ev if accepted else None
 
@@ -232,7 +239,7 @@ class TestGlpa:
         assert rep.stop_reason == "step_tol"
         assert rep.trace[-1].accepted is accepted
         from signet.subsolvers import lm_step
-        d = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC), 10.0)
+        d, _ = lm_step(inner_eval(theta0, shape, X, y, LossKind.QUADRATIC), 10.0)
         expected = theta0 + 0.5 * d if accepted else theta0
         assert np.array_equal(rep.theta_star, expected)
         assert rep.final_objective == outer_value(
@@ -241,9 +248,14 @@ class TestGlpa:
     def test_non_finite_step_is_never_taken(self, rng, monkeypatch):
         # the squared residual overflows at every trial point, down to the
         # smallest step 1e308 / 2**9
-        monkeypatch.setattr(solvers_mod, "lm_step",
-                            lambda ev, t: np.full(ev.n, 1e308))
         shape, X, y = _one_point_problem()
+
+        def huge_step(ev, t):
+            d = np.full(shape.n, 1e308)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return d, StepInfo(subproblem_model_value(ev, d, t, LossKind.QUADRATIC))
+
+        monkeypatch.setattr(solvers_mod, "lm_step", huge_step)
         theta0 = rng.uniform(-0.5, 0.5, shape.n)
         rep = glpa_fit(X, y, shape, LossKind.QUADRATIC, SolverConfig(t=10.0), theta0)
         assert rep.stop_reason == "line_search_failed"
@@ -257,8 +269,8 @@ class TestGlpa:
                                           (glpa_fit, LossKind.QUADRATIC),
                                           (glpa_fit, LossKind.HINGE)])
     def test_fit_builds_no_jacobian(self, rng, monkeypatch, fit, loss):
-        # the subproblems use J J^T, J^T z and J v from the hidden-layer
-        # pass, with the inputs' Gram formed once per fit
+        # the subproblems use J J^T and J^T z from the hidden-layer pass,
+        # with the inputs' Gram formed once per fit
         builds = _count_jacobians(monkeypatch)
         grams = _count_calls(monkeypatch, "_input_gram", solvers_mod)
         shape = NetworkShape(d=2, q=3)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from signet.losses import LossKind, prox
-from signet.model import NetworkShape, inner_eval
-from signet.subsolvers import (AdmmConfig, AdmmTrace, admm_solve, lm_step,
-                               subproblem_model_value)
+from signet.data import load_digits_csv, make_binary_task, make_franke_datasets
+from signet.losses import LossKind, outer_value, prox
+from signet.model import NetworkShape, init_params, inner_eval
+from signet.subsolvers import AdmmConfig, StepInfo, admm_solve, lm_step
 
-from conftest import DenseEval, pack_params, random_instance, scalar_loss
+from conftest import (DenseEval, pack_params, random_instance, scalar_loss,
+                      subproblem_model_value)
+from test_acceptance import DIGITS_HINGE, FRANKE_ABSOLUTE, FRANKE_QUADRATIC
 
 
 def _random_eval(rng, m, n, scale=1.0):
@@ -36,14 +38,17 @@ def reference_admm(ev, t, loss, cfg):
         if r_norm <= tol and s_norm <= rho * tol:
             converged = True
             break
-    return dtheta, AdmmTrace(it, r_norm, s_norm, converged)
+    return dtheta, StepInfo(subproblem_model_value(ev, dtheta, t, loss),
+                            it, r_norm, s_norm, converged)
 
 
 def reference_cholesky(ev, t, loss, cfg):
     """The subsolvers' residual-space arithmetic through scipy's wrappers:
     cho_factor on the C-ordered K, cho_solve, np.linalg.norm. The oracle for
     the bitwise contract: the subsolvers hand the same values to the same
-    LAPACK routines in the same order, so they must agree to the last bit."""
+    LAPACK routines in the same order, so they must agree to the last bit.
+    The model value is formed by the same identity: F + J d = z for LM,
+    J dtheta = w - z for ADMM."""
     J, F, m = ev.J, ev.F, ev.m
     c = 2.0 / m if loss is LossKind.QUADRATIC else cfg.rho
     K = J @ J.T
@@ -51,7 +56,9 @@ def reference_cholesky(ev, t, loss, cfg):
     K[np.diag_indices_from(K)] += 1.0
     factor = scipy.linalg.cho_factor(K, lower=True)
     if loss is LossKind.QUADRATIC:
-        return -(t * c) * (J.T @ scipy.linalg.cho_solve(factor, F)), None
+        z = scipy.linalg.cho_solve(factor, F)
+        model_value = outer_value(z, loss) + c * float(z @ (F - z)) / 2.0
+        return -(t * c) * (J.T @ z), StepInfo(model_value)
     rho = cfg.rho
     lam, Jd = np.zeros(m), np.zeros(m)
     converged = False
@@ -69,7 +76,9 @@ def reference_cholesky(ev, t, loss, cfg):
         if r_norm <= tol and s_norm <= rho * tol:
             converged = True
             break
-    return (t * rho) * (J.T @ z), AdmmTrace(it, r_norm, s_norm, converged)
+    model_value = outer_value(F + Jd, loss) + rho * float(z @ Jd) / 2.0
+    return (t * rho) * (J.T @ z), StepInfo(model_value, it, r_norm, s_norm,
+                                           converged)
 
 
 def _count_linalg(monkeypatch):
@@ -94,17 +103,17 @@ def _count_linalg(monkeypatch):
 class TestLmStep:
     def test_zero_residual_gives_zero_step(self, rng):
         ev = DenseEval(F=np.zeros(4), J=rng.normal(size=(4, 6)))
-        assert np.allclose(lm_step(ev, 1.0), 0.0)
+        assert np.allclose(lm_step(ev, 1.0)[0], 0.0)
 
     def test_scalar_case_by_hand(self):
         # (2*1*1 + 1) * d = -2*1*1  ->  d = -2/3
         ev = DenseEval(F=np.array([1.0]), J=np.array([[1.0]]))
-        assert lm_step(ev, 1.0)[0] == pytest.approx(-2 / 3)
+        assert lm_step(ev, 1.0)[0][0] == pytest.approx(-2 / 3)
 
     def test_optimality_residual_small(self, rng):
         ev = _random_eval(rng, 5, 7)
         t, m = 3.0, 5
-        d = lm_step(ev, t)
+        d, _ = lm_step(ev, t)
         B = (2 / m) * ev.J.T @ ev.J + np.eye(7) / t
         g = (2 / m) * ev.J.T @ ev.F
         assert np.linalg.norm(B @ d + g) <= 1e-10 * (1 + np.linalg.norm(g))
@@ -115,7 +124,7 @@ class TestLmStep:
             n = int(rng.integers(1, 31))
             ev = _random_eval(rng, m, n)
             t = float(rng.uniform(0.1, 1e4))
-            d = lm_step(ev, t)
+            d, _ = lm_step(ev, t)
             B = (2 / m) * ev.J.T @ ev.J + np.eye(n) / t
             g = (2 / m) * ev.J.T @ ev.F
             assert np.linalg.norm(B @ d + g) <= 1e-10 * (1 + np.linalg.norm(g))
@@ -282,13 +291,65 @@ def test_bitwise_equal_to_cholesky_reference(rng, m, n, loss):
         K *= t * c
         K[np.diag_indices_from(K)] += 1.0
         assert np.array_equal(K, K.T)
-    d_ref, tr_ref = reference_cholesky(ev, t, loss, cfg)
+    d_ref, info_ref = reference_cholesky(ev, t, loss, cfg)
     if loss is LossKind.QUADRATIC:
-        assert np.array_equal(lm_step(ev, t), d_ref)
+        d, info = lm_step(ev, t)
     else:
-        d, tr = admm_solve(ev, t, loss, cfg)
-        assert np.array_equal(d, d_ref)
-        assert tr == tr_ref
+        d, info = admm_solve(ev, t, loss, cfg)
+    assert np.array_equal(d, d_ref)
+    assert info == info_ref
+
+
+SIZES = pytest.mark.parametrize("m, n", [(6, 10), (8, 8), (12, 5)],
+                                ids=["m<n", "m=n", "m>n"])
+
+
+class TestStepModelValue:
+    """The model value a subsolver returns, formed from its residual-space
+    solve, against the dense-J oracle at the returned step."""
+
+    @SIZES
+    @pytest.mark.parametrize("t", [1.0, 1e5])
+    def test_lm_matches_oracle(self, rng, m, n, t):
+        ev = _random_eval(rng, m, n)
+        d, info = lm_step(ev, t)
+        assert info == StepInfo(info.model_value, 0, 0.0, 0.0, True)
+        assert info.model_value == pytest.approx(
+            subproblem_model_value(ev, d, t, LossKind.QUADRATIC), rel=1e-9, abs=0)
+
+    @SIZES
+    @pytest.mark.parametrize("loss", [LossKind.ABSOLUTE, LossKind.HINGE])
+    @pytest.mark.parametrize("t, cfg, converged", [
+        (10.0, AdmmConfig(rho=0.5, eps=1e-6, max_iters=5000), True),
+        (1e5, AdmmConfig(rho=1e-2, eps=1e-12, max_iters=3), False),
+    ], ids=["converged", "capped"])
+    def test_admm_matches_oracle(self, rng, m, n, loss, t, cfg, converged):
+        ev = _random_eval(rng, m, n)
+        if loss is LossKind.HINGE:
+            ev = DenseEval(F=1.0 + ev.F, J=ev.J)
+        d, info = admm_solve(ev, t, loss, cfg)
+        assert info.converged is converged
+        assert info.model_value == pytest.approx(
+            subproblem_model_value(ev, d, t, loss), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("setup, loss, pair", [
+        (FRANKE_QUADRATIC, LossKind.QUADRATIC, None),
+        (FRANKE_ABSOLUTE, LossKind.ABSOLUTE, None),
+        (DIGITS_HINGE, LossKind.HINGE, (3, 7)),
+    ], ids=["franke_quadratic", "franke_absolute", "digits_3_7"])
+    def test_matches_oracle_at_start_point(self, setup, loss, pair):
+        # the acceptance start points, evaluated by inner_eval
+        train, _ = (make_franke_datasets() if pair is None else
+                    make_binary_task(load_digits_csv(), *pair, seed=setup.seed,
+                                     normalize=True))
+        shape = NetworkShape(d=train.d, q=setup.q)
+        theta = init_params(shape, setup.init, setup.seed)
+        ev = inner_eval(theta, shape, train.inputs, train.targets, loss)
+        t = setup.cfg.t
+        d, info = (lm_step(ev, t) if loss is LossKind.QUADRATIC
+                   else admm_solve(ev, t, loss, setup.cfg.admm))
+        assert info.model_value == pytest.approx(
+            subproblem_model_value(ev, d, t, loss), rel=1e-9, abs=0)
 
 
 class TestModelValue:
@@ -308,7 +369,7 @@ class TestModelValue:
     def test_lm_step_is_local_minimum(self, rng):
         ev = _random_eval(rng, 6, 5)
         t, m = 50.0, 6
-        d = lm_step(ev, t)
+        d, _ = lm_step(ev, t)
         base = subproblem_model_value(ev, d, t, LossKind.QUADRATIC)
         for _ in range(50):
             delta = rng.normal(size=5)
