@@ -4,6 +4,10 @@
 Runs all four benchmark pairs (0-1, 2-5, 3-7, 6-9) with q=4 hidden neurons
 and prints a small results table. Pixels are normalized to [0, 1]; the raw
 0..16 range saturates the sigmoids at d=64 and stalls training.
+
+Each pair writes to <--out>/<pair>. Every other argument goes to each
+pair's `signet run` after the pinned ones and overrides them, e.g.
+`--seed 3` or `--admm-max-iters 30`; `--pair` stays the pair's own.
 """
 
 import argparse
@@ -13,23 +17,21 @@ from pathlib import Path
 from signet.cli import main as cli_main
 
 PAIRS = ["0,1", "2,5", "3,7", "6,9"]
+ARGV = ["run", "--task", "digits", "--loss", "hinge", "--solver", "glpa",
+        "--normalize", "--q", "4", "--t", "1e5", "--step-tol", "1e-2",
+        "--max-outer", "500", "--rho", "1e-2", "--eps", "1e-2",
+        "--admm-max-iters", "10", "--seed", "0"]
 
 
 def run():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="results/digits_hinge")
-    args = ap.parse_args()
+    args, cli_args = ap.parse_known_args()
 
     rows = []
     for pair in PAIRS:
         out = Path(args.out) / pair.replace(",", "-")
-        rc = cli_main(["run", "--task", "digits", "--loss", "hinge",
-                       "--solver", "glpa", "--pair", pair, "--normalize",
-                       "--q", "4", "--t", "1e5", "--step-tol", "1e-2",
-                       "--max-outer", "500", "--rho", "1e-2", "--eps", "1e-2",
-                       "--admm-max-iters", "10", "--seed", str(args.seed),
-                       "--out", str(out)])
+        rc = cli_main([*ARGV, *cli_args, "--pair", pair, "--out", str(out)])
         if rc != 0:
             return rc
         with open(out / "summary.json", encoding="utf-8") as fh:

@@ -15,8 +15,6 @@ import itertools
 from collections import Counter
 
 from signet import cli
-from signet.diagnostics import jacobian_rank
-from signet.model import inner_eval
 
 PAIRS = list(itertools.combinations(range(10), 2))
 COLUMNS = ("seed", "pair", "q", "rho", "stop_reason", "iterations",
@@ -34,26 +32,23 @@ def run_argv(seed: int, pair: tuple[int, int], q: int, rho: float) -> list[str]:
 
 
 def fit_row(seed: int, pair: tuple[int, int], q: int, rho: float) -> dict:
-    """Fit one pair through the CLI's own set-up and fit, and summarize it.
-    `rises` counts the recorded objectives, followed by the final one, that
-    exceed their predecessor; `failed_ls` counts the steps the line search
-    rejected; `rank` is the Jacobian rank at the final parameters, as
-    `signet run` reports it."""
-    args = cli.build_parser().parse_args(run_argv(seed, pair, q, rho))
-    loss, train, test, shape, theta0 = cli._setup(args)
-    report = cli._fit(args, "glpa", train, shape, loss, theta0)
+    """Fit one pair as `signet run` does, and summarize it from the fields
+    its summary.json gets. `rises` counts the recorded objectives, followed
+    by the final one, that exceed their predecessor; `failed_ls` counts the
+    steps the line search rejected."""
+    report, fields = cli.run_summary(
+        cli.build_parser().parse_args(run_argv(seed, pair, q, rho)))
+    metrics = fields["metrics"]
     objectives = [rec.objective for rec in report.trace] + [report.final_objective]
-    metrics = cli._metrics(report.theta_star, shape, loss, train, test)
-    rank, _ = jacobian_rank(inner_eval(
-        report.theta_star, shape, train.inputs, train.targets, loss).jacobian())
     return {"seed": seed, "pair": f"{pair[0]}-{pair[1]}", "q": q, "rho": rho,
-            "stop_reason": report.stop_reason, "iterations": len(report.trace),
-            "final_objective": report.final_objective, "m": train.m,
+            "stop_reason": fields["stop_reason"], "iterations": fields["iterations"],
+            "final_objective": fields["final_objective"],
+            "m": metrics["training_size"],
             "train_errors": metrics["training_errors"],
             "test_errors": metrics["test_errors"],
             "rises": sum(b > a for a, b in zip(objectives, objectives[1:])),
             "failed_ls": sum(not rec.accepted for rec in report.trace),
-            "rank": rank}
+            "rank": fields["jacobian_rank"]}
 
 
 def build_parser() -> argparse.ArgumentParser:

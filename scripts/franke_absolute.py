@@ -3,34 +3,23 @@
 
 Uses the wide hidden-layer initialization: with the default small init the
 Jacobian is numerically rank-deficient at the starting point and the outer
-iteration stalls early.
+iteration stalls early. Arguments go to `signet run` after the pinned ones
+and override them, e.g. `--max-outer 3000` or `--rho 1 --eps 1e-6`.
 """
 
-import argparse
-from pathlib import Path
+import sys
 
 from signet.cli import main as cli_main
 
+ARGV = ["run", "--task", "franke", "--loss", "absolute", "--solver", "glpa",
+        "--q", "72", "--t", "1e5", "--step-tol", "1e-2", "--max-outer", "500",
+        "--rho", "1e-2", "--eps", "1e-2", "--admm-max-iters", "20",
+        "--init", "wide", "--seed", "2", "--out", "results/franke_absolute",
+        "--save-model"]
+
 
 def run():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--noise-sigma", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=2)
-    ap.add_argument("--max-outer", type=int, default=500)
-    ap.add_argument("--out", default="results/franke_absolute")
-    args = ap.parse_args()
-
-    argv = ["run", "--task", "franke", "--loss", "absolute", "--solver", "glpa",
-            "--q", "72", "--t", "1e5", "--step-tol", "1e-2",
-            "--max-outer", str(args.max_outer), "--rho", "1e-2", "--eps", "1e-2",
-            "--admm-max-iters", "20", "--init", "wide", "--seed", str(args.seed),
-            "--out", args.out, "--save-model"]
-    if args.noise_sigma is not None:
-        argv += ["--noise-sigma", str(args.noise_sigma)]
-    rc = cli_main(argv)
-    if rc == 0:
-        print(f"summary: {Path(args.out) / 'summary.json'}")
-    return rc
+    return cli_main([*ARGV, *sys.argv[1:]])
 
 
 if __name__ == "__main__":

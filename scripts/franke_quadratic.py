@@ -1,35 +1,23 @@
 #!/usr/bin/env python3
 """Franke-surface regression with the quadratic loss and the plain LPA.
 
-Trains the q=72 sigmoid network on 289 Halton points, optionally with the
-positive noise recipe, and reports training objective and test errors.
+Trains the q=72 sigmoid network on 289 Halton points and reports training
+objective and test errors. Arguments go to `signet run` after the pinned
+ones and override them, e.g. `--noise-sigma 100` for positive training
+noise or `--max-outer 3000`.
 """
 
-import argparse
-from pathlib import Path
+import sys
 
 from signet.cli import main as cli_main
 
+ARGV = ["run", "--task", "franke", "--loss", "quadratic", "--solver", "lpa",
+        "--q", "72", "--t", "1e5", "--step-tol", "1e-2", "--max-outer", "500",
+        "--seed", "0", "--out", "results/franke_quadratic", "--save-model"]
+
 
 def run():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--noise-sigma", type=float, default=None,
-                    help="sigma_tilde for positive training noise (e.g. 100)")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-outer", type=int, default=500)
-    ap.add_argument("--out", default="results/franke_quadratic")
-    args = ap.parse_args()
-
-    argv = ["run", "--task", "franke", "--loss", "quadratic", "--solver", "lpa",
-            "--q", "72", "--t", "1e5", "--step-tol", "1e-2",
-            "--max-outer", str(args.max_outer), "--seed", str(args.seed),
-            "--out", args.out, "--save-model"]
-    if args.noise_sigma is not None:
-        argv += ["--noise-sigma", str(args.noise_sigma)]
-    rc = cli_main(argv)
-    if rc == 0:
-        print(f"summary: {Path(args.out) / 'summary.json'}")
-    return rc
+    return cli_main([*ARGV, *sys.argv[1:]])
 
 
 if __name__ == "__main__":

@@ -2,35 +2,23 @@
 """GLPA against SGDM / RMSProp / Adam on the 0-1 digit pair (hinge loss).
 
 Writes per-iteration loss curves to compare.csv and final losses to
-compare_summary.json under --out.
+compare_summary.json under --out. Arguments go to `signet compare` after
+the pinned ones and override them, e.g. `--pair 2,5` or `--lr 1e-2`.
 """
 
-import argparse
-from pathlib import Path
+import sys
 
 from signet.cli import main as cli_main
 
+ARGV = ["compare", "--task", "digits", "--loss", "hinge", "--pair", "0,1",
+        "--normalize", "--q", "4", "--t", "1e5", "--step-tol", "1e-2",
+        "--max-outer", "100", "--rho", "1e-2", "--eps", "1e-2",
+        "--admm-max-iters", "10", "--lr", "1e-3", "--momentum", "0.9",
+        "--iters", "1000", "--seed", "0", "--out", "results/optimizer_comparison"]
+
 
 def run():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--pair", default="0,1")
-    ap.add_argument("--lr", type=float, default=1e-3)
-    ap.add_argument("--momentum", type=float, default=0.9)
-    ap.add_argument("--iters", type=int, default=1000)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default="results/optimizer_comparison")
-    args = ap.parse_args()
-
-    rc = cli_main(["compare", "--task", "digits", "--loss", "hinge",
-                   "--pair", args.pair, "--normalize", "--q", "4",
-                   "--t", "1e5", "--step-tol", "1e-2", "--max-outer", "100",
-                   "--rho", "1e-2", "--eps", "1e-2", "--admm-max-iters", "10",
-                   "--lr", str(args.lr), "--momentum", str(args.momentum),
-                   "--iters", str(args.iters), "--seed", str(args.seed),
-                   "--out", args.out])
-    if rc == 0:
-        print(f"curves: {Path(args.out) / 'compare.csv'}")
-    return rc
+    return cli_main([*ARGV, *sys.argv[1:]])
 
 
 if __name__ == "__main__":

@@ -201,23 +201,16 @@ def _environment() -> dict:
             "cpu_count": os.cpu_count()}
 
 
-def cmd_run(args) -> int:
+def run_summary(args) -> tuple[FitReport, dict]:
+    """Set up, fit and summarize a `run` configuration: the fit's report and
+    the fields summary.json records after its config and environment."""
     loss, train, test, shape, theta0 = _setup(args)
     started = time.perf_counter()
     report = _fit(args, args.solver, train, shape, loss, theta0)
     elapsed = time.perf_counter() - started
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "trace.csv",
-               ["k", "objective", "step_norm", "eta", "admm_iters", "elapsed_s",
-                "accepted"],
-               ((r.k, r.objective, r.step_norm, r.eta, r.admm_iters, r.elapsed,
-                 int(r.accepted)) for r in report.trace))
-
     rank, full_row_rank = diagnostics.jacobian_rank(inner_eval(
         report.theta_star, shape, train.inputs, train.targets, loss).jacobian())
-    _write_json(out / "summary.json", args, {
+    return report, {
         "q": shape.q,
         "n_params": shape.n,
         "adaptive_q": diagnostics.adaptive_network_size(train.m, train.d),
@@ -228,7 +221,19 @@ def cmd_run(args) -> int:
         "jacobian_rank": rank,
         "full_row_rank": full_row_rank,
         "metrics": _metrics(report.theta_star, shape, loss, train, test),
-    })
+    }
+
+
+def cmd_run(args) -> int:
+    report, fields = run_summary(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "trace.csv",
+               ["k", "objective", "step_norm", "eta", "admm_iters", "elapsed_s",
+                "accepted"],
+               ((r.k, r.objective, r.step_norm, r.eta, r.admm_iters, r.elapsed,
+                 int(r.accepted)) for r in report.trace))
+    _write_json(out / "summary.json", args, fields)
     if args.save_model:
         _write_csv(out / "model.csv", ["theta"], ((v,) for v in report.theta_star))
     print(f"wrote {out / 'summary.json'} (final objective "

@@ -55,20 +55,21 @@ class FitReport:
     final_objective: float
 
 
-def backtrack(theta_k, dtheta_k, predicted: float, ev_k: ResidualEval,
-              loss: LossKind, shape: NetworkShape, inputs, targets):
+def backtrack(theta_k, dtheta_k, obj_k: float, predicted: float,
+              ev_k: ResidualEval, loss: LossKind, shape: NetworkShape, inputs,
+              targets):
     """Find the largest eta in {1, TAU, TAU^2, ...} (at most MAX_BACKTRACKS
     trials) satisfying the sufficient-decrease rule
 
-        outer(F(theta + eta*d)) - outer(F(theta)) <= C * eta * predicted,
+        outer(F(theta + eta*d)) - obj_k <= C * eta * predicted,
 
-    where predicted = model(d) - outer(F(theta)), model(d) the subproblem
-    objective at d that the subsolver returns. A non-finite trial objective
-    or predicted decrease fails the rule. Returns (eta, trial_count, ev), ev
-    the accepted trial's evaluation, with ev_k's input Gram; if no trial
-    satisfies the rule, eta is the last trial's and ev is None.
+    where obj_k = outer(F(theta)), ev_k's objective, and predicted =
+    model(d) - obj_k, model(d) the subproblem objective at d that the
+    subsolver returns. A non-finite trial objective or predicted decrease
+    fails the rule. Returns (eta, trial_count, ev), ev the accepted trial's
+    evaluation, with ev_k's input Gram; if no trial satisfies the rule, eta
+    is the last trial's and ev is None.
     """
-    obj_k = outer_value(ev_k.F, loss)
     eta = 1.0
     # an overflowing step gives non-finite values here, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,8 +116,8 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
             step_norm = float(np.linalg.norm(dtheta))
         converged = step_norm < cfg.step_tol
         if line_search:
-            eta, _, next_ev = backtrack(theta, dtheta, info.model_value - obj, ev,
-                                        loss, shape, inputs, targets)
+            eta, _, next_ev = backtrack(theta, dtheta, obj, info.model_value - obj,
+                                        ev, loss, shape, inputs, targets)
         else:
             eta, next_ev = 1.0, inner_eval(theta + dtheta, shape, inputs, targets,
                                            loss, input_gram=input_gram)

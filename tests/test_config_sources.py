@@ -1,7 +1,10 @@
 """The acceptance configurations are written in three places: the
 experiment scripts in scripts/, the benchmark workloads in
 perfbench/workloads.py, and the fits of tests/test_acceptance.py. This
-checks that all three run the same fits."""
+checks that all three run the same fits, that every script passes the
+arguments it is given on to each CLI call it makes, where they override
+the pinned ones, and that a row of scripts/digits_sweep.py is what
+`signet run` writes to summary.json for the same arguments."""
 
 import json
 import sys
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import test_acceptance as acceptance
-from signet.cli import _solver_config, build_parser
+from signet.cli import _solver_config, build_parser, main as cli_main
 
 from conftest import load_module
 
@@ -26,7 +29,7 @@ def _script_argvs(monkeypatch, tmp_path, script: str, *script_args) -> list:
 
     def record(argv):
         calls.append(list(argv))
-        out = Path(argv[argv.index("--out") + 1])
+        out = Path(build_parser().parse_args(argv).out)
         out.mkdir(parents=True, exist_ok=True)
         # enough of a summary for digits_hinge.py's results table
         metrics = dict.fromkeys(("training_size", "test_size", "training_errors",
@@ -41,6 +44,7 @@ def _script_argvs(monkeypatch, tmp_path, script: str, *script_args) -> list:
     return calls
 
 
+sweep = load_module(ROOT / "scripts" / "digits_sweep.py", "_script_digits_sweep")
 WORKLOADS = load_module(ROOT / "perfbench" / "workloads.py", "_perfbench_workloads").WORKLOADS
 
 
@@ -77,9 +81,25 @@ def test_scripts_benchmark_and_acceptance_agree(monkeypatch, tmp_path, script,
         assert (_solver_config(args), args.q, args.init, args.seed) == setup, label
 
 
+@pytest.mark.parametrize("script, flag, value, calls", [
+    ("franke_quadratic", "--q", 36, 1),
+    ("franke_absolute", "--rho", 1e-1, 1),
+    ("digits_hinge", "--admm-max-iters", 30, 4),
+    ("optimizer_comparison", "--admm-max-iters", 30, 1),
+], ids=["franke_quadratic", "franke_absolute", "digits_hinge",
+        "optimizer_comparison"])
+def test_scripts_forward_cli_flags(monkeypatch, tmp_path, script, flag, value,
+                                   calls):
+    # a flag the script declares no option for and pins to another value
+    argvs = _script_argvs(monkeypatch, tmp_path, script, flag, str(value))
+    assert len(argvs) == calls
+    parser = build_parser()
+    for argv in argvs:
+        assert getattr(parser.parse_args(argv), flag[2:].replace("-", "_")) == value
+
+
 def test_digits_sweep_defaults_are_the_acceptance_fits():
     # scripts/digits_sweep.py runs the digits_allpairs fits, over more seeds
-    sweep = load_module(ROOT / "scripts" / "digits_sweep.py", "_script_digits_sweep")
     defaults = sweep.build_parser().parse_args([])
     assert defaults.seeds == list(range(8))
     [q], [rho] = defaults.q, defaults.rho
@@ -91,3 +111,17 @@ def test_digits_sweep_defaults_are_the_acceptance_fits():
             parser.parse_args(_bench_argv("digits_allpairs", f"pair_{a}-{b}")))
         assert (_solver_config(args), args.q, args.init, args.seed) == \
             acceptance.DIGITS_HINGE
+
+
+def test_sweep_row_is_the_run_summary(tmp_path):
+    argv = sweep.run_argv(0, (0, 1), 4, 1e-2)
+    row = sweep.fit_row(0, (0, 1), 4, 1e-2)
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    metrics = summary["metrics"]
+    assert ((row["stop_reason"], row["iterations"], row["final_objective"],
+             row["m"], row["train_errors"], row["test_errors"], row["rank"])
+            == (summary["stop_reason"], summary["iterations"],
+                summary["final_objective"], metrics["training_size"],
+                metrics["training_errors"], metrics["test_errors"],
+                summary["jacobian_rank"]))

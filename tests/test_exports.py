@@ -3,9 +3,11 @@ of ResidualEval, has a caller in the program outside the module that
 defines it: the library modules, the experiment scripts and the benchmark
 harness. A name used only by its own module and the tests stays
 importable from that module, not from `signet`; a product used only by
-the tests belongs to the tests' dense-Jacobian oracles."""
+the tests belongs to the tests' dense-Jacobian oracles. The experiment
+scripts use no private (`_`-prefixed) name of a signet module."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -57,3 +59,15 @@ def test_every_residual_eval_method_has_a_caller_outside_model():
               and (inspect.isfunction(member) or isinstance(member, property))]
     assert {"gram", "jtr", "jacobian", "m"} <= set(public)
     assert [name for name in public if name not in references] == []
+
+
+def test_scripts_use_no_private_signet_name():
+    # the experiment scripts run through the CLI's public functions
+    modules = [signet, *(importlib.import_module(f"signet.{path.stem}")
+                         for path in (ROOT / "src" / "signet").glob("*.py")
+                         if path.name != "__init__.py")]
+    private = {name for module in modules for name in vars(module)
+               if name.startswith("_") and not name.endswith("__")}
+    found = {path.name: sorted(_referenced_names(path) & private)
+             for path in sorted((ROOT / "scripts").glob("*.py"))}
+    assert {name: refs for name, refs in found.items() if refs} == {}

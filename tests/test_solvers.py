@@ -131,20 +131,20 @@ class TestBacktrack:
         return shape, X, y, theta, ev
 
     @staticmethod
-    def _predicted(ev, d, t):
-        # the oracle's model value at d, less the objective; an overflowing
-        # d gives a non-finite value here, not a warning
+    def _obj_predicted(ev, d, t):
+        # the objective, and the oracle's model value at d less it; an
+        # overflowing d gives a non-finite value here, not a warning
+        obj = outer_value(ev.F, LossKind.QUADRATIC)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (subproblem_model_value(ev, d, t, LossKind.QUADRATIC)
-                    - outer_value(ev.F, LossKind.QUADRATIC))
+            return obj, subproblem_model_value(ev, d, t, LossKind.QUADRATIC) - obj
 
     def test_full_step_accepted_when_rule_holds(self, rng):
         shape, X, y, theta, ev = self._setup(rng)
         from signet.subsolvers import lm_step
         d, info = lm_step(ev, 1.0)
-        predicted = info.model_value - outer_value(ev.F, LossKind.QUADRATIC)
-        eta, evals, trial_ev = backtrack(theta, d, predicted, ev, LossKind.QUADRATIC,
-                                         shape, X, y)
+        obj = outer_value(ev.F, LossKind.QUADRATIC)
+        eta, evals, trial_ev = backtrack(theta, d, obj, info.model_value - obj, ev,
+                                         LossKind.QUADRATIC, shape, X, y)
         # small t makes the step conservative, the unit step passes the rule
         assert trial_ev is not None and eta == 1.0 and evals == 1
         assert np.array_equal(trial_ev.F,
@@ -154,7 +154,7 @@ class TestBacktrack:
         shape, X, y, theta, ev = self._setup(rng)
         # a deliberately bad huge direction forces shrinking
         d = np.ones(shape.n) * 50.0
-        eta, evals, _ = backtrack(theta, d, self._predicted(ev, d, 1.0), ev,
+        eta, evals, _ = backtrack(theta, d, *self._obj_predicted(ev, d, 1.0), ev,
                                   LossKind.QUADRATIC, shape, X, y)
         assert eta == pytest.approx(solvers_mod.TAU ** (evals - 1))
 
@@ -162,7 +162,7 @@ class TestBacktrack:
         shape, X, y, theta, ev = self._setup(rng)
         from signet.subsolvers import lm_step
         d, info = lm_step(ev, 1.0)
-        predicted = info.model_value - outer_value(ev.F, LossKind.QUADRATIC)
+        obj = outer_value(ev.F, LossKind.QUADRATIC)
         calls = {"n": 0}
 
         def first_trial_non_finite(*args, **kwargs):
@@ -173,8 +173,8 @@ class TestBacktrack:
 
         monkeypatch.setattr(solvers_mod, "inner_eval", first_trial_non_finite)
         # the unit step would pass (test_full_step_accepted_when_rule_holds)
-        eta, evals, trial_ev = backtrack(theta, d, predicted, ev, LossKind.QUADRATIC,
-                                         shape, X, y)
+        eta, evals, trial_ev = backtrack(theta, d, obj, info.model_value - obj, ev,
+                                         LossKind.QUADRATIC, shape, X, y)
         assert (eta, evals) == (solvers_mod.TAU, 2)
         # the accepted trial's evaluation is returned, bitwise the one at
         # theta + eta*d, with the caller's input Gram
@@ -187,7 +187,7 @@ class TestBacktrack:
         d = np.full(shape.n, 1e308)
         # rejected: the last trial's eta, which the fit does not take, and
         # no evaluation
-        assert backtrack(theta, d, self._predicted(ev, d, 1.0), ev,
+        assert backtrack(theta, d, *self._obj_predicted(ev, d, 1.0), ev,
                          LossKind.QUADRATIC, shape, X, y) == \
             (solvers_mod.TAU ** (solvers_mod.MAX_BACKTRACKS - 1),
              solvers_mod.MAX_BACKTRACKS, None)
@@ -227,7 +227,7 @@ class TestGlpa:
 
     @pytest.mark.parametrize("accepted", [True, False])
     def test_last_step_taken_only_if_accepted(self, rng, monkeypatch, accepted):
-        def half_step(theta, d, predicted, ev, loss, shape, X, y):
+        def half_step(theta, d, obj, predicted, ev, loss, shape, X, y):
             trial_ev = inner_eval(theta + 0.5 * d, shape, X, y, loss)
             return 0.5, 2, trial_ev if accepted else None
 
