@@ -29,7 +29,7 @@ from .model import NetworkShape, init_params, inner_eval, predict
 from .solvers import FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -210,6 +210,7 @@ def run_summary(args) -> tuple[FitReport, dict]:
     elapsed = time.perf_counter() - started
     rank, full_row_rank = diagnostics.jacobian_rank(inner_eval(
         report.theta_star, shape, train.inputs, train.targets, loss).jacobian())
+    rank_s = time.perf_counter() - started - elapsed
     return report, {
         "q": shape.q,
         "n_params": shape.n,
@@ -218,6 +219,7 @@ def run_summary(args) -> tuple[FitReport, dict]:
         "iterations": len(report.trace),
         "stop_reason": report.stop_reason,
         "elapsed_s": elapsed,
+        "rank_s": rank_s,
         "jacobian_rank": rank,
         "full_row_rank": full_row_rank,
         "metrics": _metrics(report.theta_star, shape, loss, train, test),

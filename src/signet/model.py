@@ -111,13 +111,14 @@ class ResidualEval:
 
 
 def sigmoid(a):
-    """Logistic function 1/(1+exp(-a)), overflow-safe for large |a|: with
-    e = exp(-|a|), it is 1/(1+e) for a >= 0 and e/(1+e) otherwise."""
+    """Logistic function 1/(1+exp(-a)), overflow-safe for large |a|, formed
+    as exp(min(a, 0)) / (1 + exp(-|a|)). That is, bit for bit, the masked
+    form e/(1+e) for a < 0 and 1/(1+e) otherwise, e = exp(-|a|): the
+    numerator exp(min(a, 0)) is exp(a) = e for a < 0 and exp(0) = 1.0
+    otherwise. No argument of exp is positive, so nothing overflows."""
     a = np.asarray(a, dtype=float)
-    e = np.exp(-np.abs(a))
-    d = 1.0 + e
-    out = np.divide(1.0, d, out=np.empty_like(a))
-    np.divide(e, d, out=out, where=a < 0)
+    out = np.exp(np.minimum(a, 0.0))
+    out /= 1.0 + np.exp(-np.abs(a))
     return out if out.ndim else float(out)
 
 

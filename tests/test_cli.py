@@ -69,7 +69,7 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 5
+        assert summary["schema_version"] == 6
         assert summary["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -77,6 +77,9 @@ class TestRun:
             "cpu_count": os.cpu_count()}
         assert summary["q"] == 8
         assert summary["iterations"] <= 10
+        keys = list(summary)
+        assert keys[keys.index("elapsed_s") + 1] == "rank_s"
+        assert summary["rank_s"] >= 0.0
         assert summary["config"]["task"] == "franke"
         assert "test_rms_error" in summary["metrics"]
         trace = _read_trace(out)
@@ -264,7 +267,7 @@ class TestRun:
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         sa, sb = _read_summary(a), _read_summary(b)
-        sa["elapsed_s"] = sb["elapsed_s"] = 0
+        sa["elapsed_s"] = sb["elapsed_s"] = sa["rank_s"] = sb["rank_s"] = 0
         sa["config"]["out"] = sb["config"]["out"] = "."
         assert sa == sb
         ta = [(r["k"], r["objective"], r["step_norm"]) for r in _read_trace(a)]
@@ -509,7 +512,7 @@ class TestCompare:
         assert set(summary["final_objectives"]) == {"glpa", "sgdm",
                                                     "rmsprop", "adam"}
         assert all(np.isfinite(v) for v in summary["final_objectives"].values())
-        assert summary["schema_version"] == 5
+        assert summary["schema_version"] == 6
         assert (summary["environment"]["blas_threads"]
                 == os.environ["OPENBLAS_NUM_THREADS"])
         assert summary["environment"]["cpu_count"] == os.cpu_count()

@@ -42,13 +42,21 @@ def reference_admm(ev, t, loss, cfg):
                             it, r_norm, s_norm, converged)
 
 
-def reference_cholesky(ev, t, loss, cfg):
+def triangular_pair(factor, w):
+    """K^{-1} w from cho_factor's lower factor L: L y = w, then L^T z = y."""
+    L = factor[0]
+    return scipy.linalg.solve_triangular(
+        L, scipy.linalg.solve_triangular(L, w, lower=True), trans="T", lower=True)
+
+
+def reference_cholesky(ev, t, loss, cfg, solve=triangular_pair):
     """The subsolvers' residual-space arithmetic through scipy's wrappers:
-    cho_factor on the C-ordered K, cho_solve, np.linalg.norm. The oracle for
-    the bitwise contract: the subsolvers hand the same values to the same
-    LAPACK routines in the same order, so they must agree to the last bit.
-    The model value is formed by the same identity: F + J d = z for LM,
-    J dtheta = w - z for ADMM."""
+    cho_factor on the C-ordered K, then cho_solve for LM and `solve`, by
+    default a solve_triangular pair, for ADMM, np.linalg.norm. The
+    oracle for the bitwise contract: the subsolvers hand the same values to
+    the same LAPACK and BLAS routines in the same order, so they must agree
+    to the last bit. The model value is formed by the same identity:
+    F + J d = z for LM, J dtheta = w - z for ADMM."""
     J, F, m = ev.J, ev.F, ev.m
     c = 2.0 / m if loss is LossKind.QUADRATIC else cfg.rho
     K = J @ J.T
@@ -66,7 +74,7 @@ def reference_cholesky(ev, t, loss, cfg):
         mu = prox(F + Jd - lam / rho, 1.0 / (m * rho), loss)
         mu_F = mu - F
         w = mu_F + lam / rho
-        z = scipy.linalg.cho_solve(factor, w)
+        z = solve(factor, w)
         Jd_prev, Jd = Jd, w - z
         r = mu_F - Jd
         lam = lam + rho * r
@@ -82,10 +90,11 @@ def reference_cholesky(ev, t, loss, cfg):
 
 
 def _count_linalg(monkeypatch):
-    """Count the subsolvers' factorizations (scipy.linalg.cho_factor) and
-    triangular solve pairs (their dpotrs binding)."""
+    """Count the subsolvers' factorizations (scipy.linalg.cho_factor), LM's
+    triangular solve pairs (their dpotrs binding) and ADMM's single
+    triangular solves (their dtrsv binding)."""
     import signet.subsolvers as sub
-    calls = {"cho_factor": 0, "dpotrs": 0}
+    calls = {"cho_factor": 0, "dpotrs": 0, "dtrsv": 0}
 
     def counting(host, name):
         real = getattr(host, name)
@@ -97,6 +106,7 @@ def _count_linalg(monkeypatch):
 
     counting(sub.scipy.linalg, "cho_factor")
     counting(sub, "dpotrs")
+    counting(sub, "dtrsv")
     return calls
 
 
@@ -139,7 +149,7 @@ class TestLmStep:
     def test_one_factorization_one_solve(self, rng, monkeypatch):
         calls = _count_linalg(monkeypatch)
         lm_step(_random_eval(rng, 8, 8), 10.0)
-        assert calls == {"cho_factor": 1, "dpotrs": 1}
+        assert calls == {"cho_factor": 1, "dpotrs": 1, "dtrsv": 0}
 
 
 @pytest.mark.parametrize("solve", [
@@ -246,8 +256,8 @@ class TestAdmm:
         ev = _random_eval(rng, 8, 8)
         _, tr = admm_solve(ev, 10.0, LossKind.ABSOLUTE,
                            AdmmConfig(rho=0.1, eps=1e-12, max_iters=50))
-        assert calls["cho_factor"] == 1
-        assert calls["dpotrs"] == tr.iterations == 50
+        assert tr.iterations == 50
+        assert calls == {"cho_factor": 1, "dpotrs": 0, "dtrsv": 2 * 50}
 
     @pytest.mark.parametrize("loss", [LossKind.ABSOLUTE, LossKind.HINGE])
     @pytest.mark.parametrize("m, n", [(6, 10), (8, 8), (12, 5)],
@@ -298,6 +308,29 @@ def test_bitwise_equal_to_cholesky_reference(rng, m, n, loss):
         d, info = admm_solve(ev, t, loss, cfg)
     assert np.array_equal(d, d_ref)
     assert info == info_ref
+
+
+@pytest.mark.parametrize("setup, loss, pair", [
+    (FRANKE_ABSOLUTE, LossKind.ABSOLUTE, None),
+    (DIGITS_HINGE, LossKind.HINGE, (0, 1)),
+], ids=["franke_absolute", "digits_0_1"])
+def test_admm_triangular_pair_matches_cho_solve_at_start_point(setup, loss, pair):
+    # ADMM's dtrsv pair against LAPACK's dpotrs (through cho_solve) on the
+    # acceptance start points' Jacobians: the same K, so only the solve
+    # differs, and by rounding alone
+    train, _ = (make_franke_datasets() if pair is None else
+                make_binary_task(load_digits_csv(), *pair, seed=setup.seed,
+                                 normalize=True))
+    shape = NetworkShape(d=train.d, q=setup.q)
+    theta = init_params(shape, setup.init, setup.seed)
+    ev = inner_eval(theta, shape, train.inputs, train.targets, loss)
+    ev = DenseEval(F=ev.F, J=ev.jacobian())
+    t, cfg = setup.cfg.t, setup.cfg.admm
+    d, info = admm_solve(ev, t, loss, cfg)
+    d_ref, ref = reference_cholesky(ev, t, loss, cfg, solve=scipy.linalg.cho_solve)
+    assert (info.iterations, info.converged) == (ref.iterations, ref.converged)
+    assert np.linalg.norm(d - d_ref) <= 1e-12 * np.linalg.norm(d_ref)
+    assert info.model_value == pytest.approx(ref.model_value, rel=1e-12, abs=0)
 
 
 SIZES = pytest.mark.parametrize("m, n", [(6, 10), (8, 8), (12, 5)],
