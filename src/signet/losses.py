@@ -19,11 +19,13 @@ class LossKind(enum.Enum):
 
 
 def outer_value(z: np.ndarray, loss: LossKind) -> float:
-    """Mean loss over the components of z.
+    """Mean loss over the components of the vector z.
 
     quadratic: mean z_i^2; absolute: mean |z_i|; hinge: mean max(1-z_i, 0).
     """
     z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValueError(f"residual must be a vector, got shape {z.shape}")
     if z.size == 0:
         raise ValueError("empty residual vector")
     m = z.shape[0]
@@ -38,9 +40,10 @@ def outer_value(z: np.ndarray, loss: LossKind) -> float:
 
 def outer_gradient(z: np.ndarray, loss: LossKind) -> np.ndarray:
     """A (sub)gradient of outer_value at z: 2 z_i / m, sign(z_i) / m, or
-    -[z_i < 1] / m for the hinge."""
+    -[z_i < 1] / m for the hinge. For (P, m) stacked residuals, row p is
+    the (sub)gradient at row p."""
     z = np.asarray(z, dtype=float)
-    m = z.shape[0]
+    m = z.shape[-1]
     if loss is LossKind.QUADRATIC:
         return 2.0 * z / m
     if loss is LossKind.ABSOLUTE:

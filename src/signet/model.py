@@ -3,7 +3,11 @@ with its Jacobian J, and the products J J^T and J^T r, all from one
 hidden-layer pass.
 
 Parameter layout is fixed as [w (q) | v (q*d, neuron-major) | u (q) | w0],
-so a parameter vector is a flat float array of length (d+2)*q + 1.
+so a parameter vector is a flat float array of length (d+2)*q + 1. A
+(P, n) array stacks P parameter vectors: the hidden-layer pass, F,
+predictions and J^T r then carry a leading axis of length P, and row p of
+each is, bit for bit, the result for row p alone (numpy's stacked matmul
+calls the same BLAS kernel on each 2-D slice).
 """
 
 from __future__ import annotations
@@ -38,12 +42,12 @@ class NetworkShape:
 
 @dataclass(frozen=True)
 class ResidualEval:
-    """Residual vector F (length m) of one hidden-layer pass, kept with the
-    pass: inputs X, output weights w, activations S = sigmoid(X V^T + u),
-    the row signs (the hinge labels, or None) and the input Gram
-    [X | 1][X | 1]^T (or None, and gram forms it). From these, gram and jtr
-    form alpha J J^T and J^T r without the Jacobian J, and jacobian builds
-    J."""
+    """Residual vector F (length m, or (P, m) for stacked parameters) of one
+    hidden-layer pass, kept with the pass: inputs X, output weights w,
+    activations S = sigmoid(X V^T + u), the row signs (the hinge labels, or
+    None) and the input Gram [X | 1][X | 1]^T (or None, and gram forms it).
+    From these, gram and jtr form alpha J J^T and J^T r without the
+    Jacobian J, and jacobian builds J."""
 
     F: np.ndarray
     X: np.ndarray = field(repr=False)
@@ -58,11 +62,12 @@ class ResidualEval:
 
     @property
     def m(self) -> int:
-        return self.F.shape[0]
+        return self.F.shape[-1]
 
     def gram(self, alpha: float) -> np.ndarray:
         """alpha J J^T (m x m) in Fortran order; only its lower triangle,
-        all that LAPACK's dpotrf reads, is valid.
+        all that LAPACK's dpotrf reads, is valid. Single parameter vector
+        only.
 
         A Jacobian row is s_i [S_i | A_i kron X^_i | A_i | 1] with
         A = w S(1-S) and X^ = [X | 1], so J J^T = S^ S^T + (A A^T) o (X^ X^T),
@@ -87,17 +92,22 @@ class ResidualEval:
 
     def jtr(self, r: np.ndarray) -> np.ndarray:
         """J^T r, formed in O(m*q*d) from the hidden-layer activations
-        without building J."""
+        without building J. For stacked parameters, r is (P, m) and row p
+        of the (P, n) result is J_p^T r_p."""
         S, w = self.S, self.w
+        lead = S.shape[:-2]
         if self.sign is not None:
             r = self.sign * r
-        Spr = S * (1.0 - S) * r[:, None]      # sigmoid'(A) scaled by r
-        return np.concatenate([r @ S, (w[:, None] * (Spr.T @ self.X)).ravel(),
-                               w * Spr.sum(axis=0), [r.sum()]])
+        Spr = S * (1.0 - S) * r[..., None]    # sigmoid'(A) scaled by r
+        return np.concatenate([
+            (r[..., None, :] @ S)[..., 0, :],
+            (w[..., None] * (Spr.mT @ self.X)).reshape(*lead, -1),
+            w * Spr.sum(axis=-2), r.sum(axis=-1)[..., None]], axis=-1)
 
     def jacobian(self) -> np.ndarray:
         """The Jacobian J of the residual map, rows grad f(x_i) scaled by
-        the row signs; shape (m, n) in parameter layout order."""
+        the row signs; shape (m, n) in parameter layout order. Single
+        parameter vector only."""
         X, w, S = self.X, self.w, self.S
         (m, d), q = X.shape, w.shape[0]
         Sp = S * (1.0 - S)            # sigmoid'(A)
@@ -123,15 +133,17 @@ def sigmoid(a):
 
 
 def split_params(theta: np.ndarray, shape: NetworkShape):
-    """Split a flat parameter vector into (w, V, u, w0) with V of shape (q, d)."""
+    """Split a flat parameter vector into (w, V, u, w0) with V of shape
+    (q, d); for (P, n) stacked vectors, each part gains the leading P."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (shape.n,):
-        raise DimensionError(f"theta has length {theta.shape}, expected ({shape.n},)")
+    if theta.ndim not in (1, 2) or theta.shape[-1] != shape.n:
+        raise DimensionError(
+            f"theta has shape {theta.shape}, expected ({shape.n},) or (P, {shape.n})")
     q, d = shape.q, shape.d
-    w = theta[:q]
-    V = theta[q:q + q * d].reshape(q, d)
-    u = theta[q + q * d:q + q * d + q]
-    w0 = theta[-1]
+    w = theta[..., :q]
+    V = theta[..., q:q + q * d].reshape(*theta.shape[:-1], q, d)
+    u = theta[..., q + q * d:q + q * d + q]
+    w0 = theta[..., -1]
     return w, V, u, w0
 
 
@@ -159,8 +171,8 @@ def _hidden(theta, shape: NetworkShape, X):
     if X.ndim != 2 or X.shape[1] != shape.d:
         raise DimensionError(f"inputs have shape {X.shape}, expected (m, {shape.d})")
     w, V, u, w0 = split_params(theta, shape)
-    S = sigmoid(X @ V.T + u)
-    return (X, w, S), S @ w + w0
+    S = sigmoid(X @ V.mT + u[..., None, :])
+    return (X, w, S), (S @ w[..., None])[..., 0] + w0[..., None]
 
 
 def _input_gram(X) -> np.ndarray:
@@ -172,14 +184,16 @@ def _input_gram(X) -> np.ndarray:
 
 
 def predict(theta: np.ndarray, shape: NetworkShape, X: np.ndarray) -> np.ndarray:
-    """Network outputs sum_i w_i * sigmoid(v_i . x + u_i) + w0, one per input row."""
+    """Network outputs sum_i w_i * sigmoid(v_i . x + u_i) + w0, one per input
+    row; (P, m) for stacked parameters."""
     return _hidden(theta, shape, X)[1]
 
 
 def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
                targets: np.ndarray, loss: LossKind,
                input_gram: np.ndarray | None = None) -> ResidualEval:
-    """Residual map from one hidden-layer pass. `input_gram` is
+    """Residual map from one hidden-layer pass, of one parameter vector or
+    of a (P, n) stack of them. `input_gram` is
     [X | 1][X | 1]^T of these inputs, for a caller that evaluates them many
     times; ResidualEval.gram forms it otherwise.
 

@@ -149,52 +149,65 @@ def glpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitRepo
 
 
 def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
-                 optimizer: str, theta0, lr: float = 1e-3,
-                 momentum: float = 0.9, iters: int = 1000) -> FitReport:
+                 optimizers, theta0, lr: float = 1e-3, momentum: float = 0.9,
+                 iters: int = 1000) -> list[FitReport]:
     """Full-batch SGDM / RMSProp / Adam on the training objective, using the
     analytic (sub)gradient J^T outer_gradient(F), formed without building J.
-    Deterministic: no minibatch sampling."""
+    Deterministic: no minibatch sampling.
+
+    Runs the named optimizers in lockstep from the same theta0, one report
+    per name, in order: each iteration evaluates the stacked iterates in one
+    hidden-layer pass and one J^T r, then updates each iterate as if it ran
+    alone, bit for bit. The rows of one iteration share one `elapsed`
+    clock."""
     if not (0 < lr < math.inf and math.isfinite(momentum) and iters >= 1):
         raise ValueError(f"invalid hyperparameters lr={lr}, momentum={momentum}, "
                          f"iters={iters}")
-    optimizer = optimizer.lower()
-    if optimizer not in ("sgdm", "rmsprop", "adam"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    names = tuple(name.lower() for name in optimizers)
+    if not names:
+        raise ValueError("no optimizer given")
+    for name in names:
+        if name not in ("sgdm", "rmsprop", "adam"):
+            raise ValueError(f"unknown optimizer {name!r}")
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    theta = np.asarray(theta0, dtype=float).copy()
-    if theta.shape != (shape.n,):
-        raise ValueError(f"theta0 has shape {theta.shape}, expected ({shape.n},)")
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != (shape.n,):
+        raise ValueError(f"theta0 has shape {theta0.shape}, expected ({shape.n},)")
 
-    vel = np.zeros_like(theta)
-    sq = np.zeros_like(theta)
-    mom1 = np.zeros_like(theta)
+    thetas = np.tile(theta0, (len(names), 1))
+    vel, sq, mom1 = ([np.zeros(shape.n) for _ in names] for _ in range(3))
     eps = 1e-8
-    trace: list[IterationRecord] = []
+    traces: list[list[IterationRecord]] = [[] for _ in names]
     start = time.perf_counter()
     for k in range(iters):
-        ev = inner_eval(theta, shape, inputs, targets, loss)
-        obj = outer_value(ev.F, loss)
-        g = ev.jtr(outer_gradient(ev.F, loss))
-        if optimizer == "sgdm":
-            vel = momentum * vel + g
-            step = -lr * vel
-        elif optimizer == "rmsprop":
-            # square-average smoothing fixed at 0.99; `momentum` drives the
-            # heavy-ball buffer on the preconditioned gradient
-            sq = 0.99 * sq + 0.01 * g * g
-            vel = momentum * vel + g / (np.sqrt(sq) + eps)
-            step = -lr * vel
-        else:  # adam
-            mom1 = 0.9 * mom1 + 0.1 * g
-            sq = 0.999 * sq + 0.001 * g * g
-            mhat = mom1 / (1.0 - 0.9 ** (k + 1))
-            vhat = sq / (1.0 - 0.999 ** (k + 1))
-            step = -lr * mhat / (np.sqrt(vhat) + eps)
-        theta = theta + step
-        trace.append(IterationRecord(k, obj, float(np.linalg.norm(step)), 1.0, 0,
-                                     time.perf_counter() - start))
-    final_objective = outer_value(
-        inner_eval(theta, shape, inputs, targets, loss).F, loss)
-    return FitReport(theta_star=theta, trace=trace, stop_reason="max_outer",
-                     final_objective=final_objective)
+        ev = inner_eval(thetas, shape, inputs, targets, loss)
+        grads = ev.jtr(outer_gradient(ev.F, loss))
+        rows = []
+        for p, name in enumerate(names):
+            g = grads[p]
+            if name == "sgdm":
+                vel[p] = momentum * vel[p] + g
+                step = -lr * vel[p]
+            elif name == "rmsprop":
+                # square-average smoothing fixed at 0.99; `momentum` drives the
+                # heavy-ball buffer on the preconditioned gradient
+                sq[p] = 0.99 * sq[p] + 0.01 * g * g
+                vel[p] = momentum * vel[p] + g / (np.sqrt(sq[p]) + eps)
+                step = -lr * vel[p]
+            else:  # adam
+                mom1[p] = 0.9 * mom1[p] + 0.1 * g
+                sq[p] = 0.999 * sq[p] + 0.001 * g * g
+                mhat = mom1[p] / (1.0 - 0.9 ** (k + 1))
+                vhat = sq[p] / (1.0 - 0.999 ** (k + 1))
+                step = -lr * mhat / (np.sqrt(vhat) + eps)
+            thetas[p] += step
+            # the 2-norm as np.linalg.norm forms it, without its overhead
+            rows.append((outer_value(ev.F[p], loss), math.sqrt(step @ step)))
+        elapsed = time.perf_counter() - start
+        for trace, (obj, step_norm) in zip(traces, rows):
+            trace.append(IterationRecord(k, obj, step_norm, 1.0, 0, elapsed))
+    F = inner_eval(thetas, shape, inputs, targets, loss).F
+    return [FitReport(theta_star=thetas[p], trace=traces[p], stop_reason="max_outer",
+                      final_objective=outer_value(F[p], loss))
+            for p in range(len(names))]

@@ -130,9 +130,10 @@ def test_criterion_4_optimizer_comparison(digits):
     rep = glpa_fit(train.inputs, train.targets, shape, LossKind.HINGE,
                    cfg, theta0)
     assert len(rep.trace) <= 100
-    for name in ("sgdm", "adam", "rmsprop"):
-        base = baseline_fit(train.inputs, train.targets, shape, LossKind.HINGE,
-                            name, theta0, lr=1e-3, momentum=0.9, iters=1000)
+    names = ("sgdm", "adam", "rmsprop")
+    bases = baseline_fit(train.inputs, train.targets, shape, LossKind.HINGE,
+                         names, theta0, lr=1e-3, momentum=0.9, iters=1000)
+    for name, base in zip(names, bases):
         if base.final_objective == 0.0:
             # The hinge loss is never negative, so a baseline that reached
             # exactly 0.0 (RMSProp does on this separable pair) can be

@@ -174,6 +174,15 @@ class TestRun:
         summary = _read_summary(out)
         assert summary["q"] == summary["adaptive_q"] == 6  # ceil(24/4)
 
+    def test_no_flag_value_leaks_between_main_calls(self, tmp_path):
+        # main reuses one parser, so a second call must see fresh defaults
+        argv = ["run", "--task", "franke", "--n-train", "25", "--n-test", "5",
+                "--max-outer", "2"]
+        assert main([*argv, "--q", "36", "--out", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert _read_summary(tmp_path / "a")["q"] == 36
+        assert _read_summary(tmp_path / "b")["q"] == 6  # ceil(24/4)
+
     def test_digits_need_the_hinge_loss(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["run", "--task", "digits", "--loss", "absolute",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet.losses import LossKind, outer_value, prox
+from signet.losses import LossKind, outer_gradient, outer_value, prox
 
 from conftest import scalar_loss
 
@@ -58,6 +58,18 @@ class TestOuterValue:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             outer_value(np.array([]), LossKind.QUADRATIC)
+
+    def test_stacked_residuals_rejected(self):
+        with pytest.raises(ValueError, match="vector"):
+            outer_value(np.ones((3, 4)), LossKind.QUADRATIC)
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_gradient_rows_of_stacked_residuals(self, rng, loss):
+        # each row is divided by its own length m, not by the row count
+        Z = rng.normal(size=(3, 5))
+        G = outer_gradient(Z, loss)
+        for z, g in zip(Z, G):
+            assert np.array_equal(g, outer_gradient(z, loss))
 
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_separability(self, rng, loss):

@@ -105,6 +105,8 @@ class TestForward:
             predict(np.zeros(shape.n), shape, np.zeros(2))
         with pytest.raises(DimensionError):
             predict(np.zeros(shape.n + 1), shape, np.zeros((1, 2)))
+        with pytest.raises(DimensionError):
+            predict(np.zeros((1, 1, shape.n)), shape, np.zeros((1, 2)))
 
     def test_neuron_permutation_invariance(self, rng):
         shape = NetworkShape(d=2, q=5)
@@ -204,6 +206,28 @@ class TestInnerEval:
         theta = pack_params([np.inf], [[1.0]], [0.0], 0.0)
         with pytest.raises(FloatingPointError):
             inner_eval(theta, shape, np.ones((2, 1)), np.zeros(2), LossKind.QUADRATIC)
+
+
+@pytest.mark.parametrize("m, d, q", [(289, 2, 72), (252, 64, 4)])
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_stacked_rows_equal_single_theta(rng, m, d, q, loss):
+    # the Franke and digits shapes: row p of a stacked pass is, bit for bit,
+    # the pass of row p alone
+    shape = NetworkShape(d=d, q=q)
+    X = rng.uniform(0.0, 1.0, (m, d))
+    targets = (rng.choice([-1.0, 1.0], size=m) if loss is LossKind.HINGE
+               else rng.normal(size=m))
+    for P in (1, 3):
+        thetas = rng.uniform(-2.0, 2.0, (P, shape.n))
+        R = rng.normal(size=(P, m))
+        ev = inner_eval(thetas, shape, X, targets, loss)
+        assert ev.F.shape == (P, m) and ev.m == m
+        jtr, preds = ev.jtr(R), predict(thetas, shape, X)
+        for p in range(P):
+            one = inner_eval(thetas[p], shape, X, targets, loss)
+            assert np.array_equal(ev.F[p], one.F)
+            assert np.array_equal(jtr[p], one.jtr(R[p]))
+            assert np.array_equal(preds[p], predict(thetas[p], shape, X))
 
 
 def _close(got, dense):

@@ -398,8 +398,8 @@ class TestBaselines:
         # numeric curvature estimate along the path sets a safe rate
         J = inner_eval(theta0, shape, X, y, LossKind.QUADRATIC).jacobian()
         lipschitz = 2.0 / J.shape[0] * np.linalg.norm(J, 2) ** 2 * 4
-        rep = baseline_fit(X, y, shape, LossKind.QUADRATIC, "sgdm", theta0,
-                           lr=min(1e-1, 1.0 / lipschitz), momentum=0.0, iters=200)
+        [rep] = baseline_fit(X, y, shape, LossKind.QUADRATIC, ("sgdm",), theta0,
+                             lr=min(1e-1, 1.0 / lipschitz), momentum=0.0, iters=200)
         objs = [r.objective for r in rep.trace] + [rep.final_objective]
         assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
 
@@ -409,7 +409,7 @@ class TestBaselines:
         theta = pack_params([8.0], [[1.0]], [0.0], -2.0)
         X = np.array([[1.5], [2.0], [3.0]])
         y = np.ones(3)
-        rep = baseline_fit(X, y, shape, LossKind.HINGE, "adam", theta, iters=5)
+        [rep] = baseline_fit(X, y, shape, LossKind.HINGE, ("adam",), theta, iters=5)
         assert np.array_equal(rep.theta_star, theta)
         assert rep.final_objective == 0.0
 
@@ -418,8 +418,8 @@ class TestBaselines:
         shape = NetworkShape(d=2, q=2)
         X = rng.uniform(0, 1, (10, 2))
         y = rng.normal(size=10)
-        rep = baseline_fit(X, y, shape, LossKind.QUADRATIC, name,
-                           rng.uniform(-0.5, 0.5, shape.n), iters=50)
+        [rep] = baseline_fit(X, y, shape, LossKind.QUADRATIC, (name,),
+                             rng.uniform(-0.5, 0.5, shape.n), iters=50)
         assert len(rep.trace) == 50
         assert np.all(np.isfinite(rep.theta_star))
 
@@ -428,29 +428,60 @@ class TestBaselines:
         builds = _count_jacobians(monkeypatch)
         shape = NetworkShape(d=2, q=2)
         X = rng.uniform(0, 1, (10, 2))
-        rep = baseline_fit(X, rng.choice([-1.0, 1.0], size=10), shape,
-                           LossKind.HINGE, name, rng.uniform(-0.5, 0.5, shape.n),
-                           iters=20)
+        [rep] = baseline_fit(X, rng.choice([-1.0, 1.0], size=10), shape,
+                             LossKind.HINGE, (name,), rng.uniform(-0.5, 0.5, shape.n),
+                             iters=20)
         assert len(rep.trace) == 20
         assert builds["n"] == 0
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_lockstep_rows_equal_solo_runs(self, rng, loss):
+        # one stacked evaluation serves all three, and each keeps its bits
+        shape = NetworkShape(d=3, q=4)
+        X = rng.uniform(0, 1, (15, 3))
+        y = (rng.choice([-1.0, 1.0], size=15) if loss is LossKind.HINGE
+             else rng.normal(size=15))
+        theta0 = rng.uniform(-0.5, 0.5, shape.n)
+        names = ("sgdm", "rmsprop", "adam")
+        reports = baseline_fit(X, y, shape, loss, names, theta0, lr=1e-2, iters=30)
+        assert len(reports) == 3
+        for name, rep in zip(names, reports):
+            [solo] = baseline_fit(X, y, shape, loss, (name,), theta0, lr=1e-2,
+                                  iters=30)
+            assert np.array_equal(rep.theta_star, solo.theta_star), name
+            assert ([(r.k, r.objective, r.step_norm) for r in rep.trace]
+                    == [(r.k, r.objective, r.step_norm) for r in solo.trace]), name
+            assert rep.final_objective == solo.final_objective, name
+        assert not np.array_equal(reports[0].theta_star, reports[2].theta_star)
+        # the rows of one iteration share one clock
+        assert all(a.elapsed == b.elapsed == c.elapsed
+                   for a, b, c in zip(*(rep.trace for rep in reports)))
+
+    def test_optimizer_names_checked(self):
+        shape, X, y = _one_point_problem()
+        with pytest.raises(ValueError, match="no optimizer"):
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, (), np.zeros(shape.n))
+        with pytest.raises(ValueError, match="'newton'"):
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("adam", "newton"),
+                         np.zeros(shape.n))
 
     def test_invalid_hyperparameters(self, rng):
         shape, X, y = _one_point_problem()
         with pytest.raises(ValueError):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, "adam",
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("adam",),
                          np.zeros(shape.n), lr=0.0)
         with pytest.raises(ValueError):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, "adam",
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("adam",),
                          np.zeros(shape.n), lr=float("nan"))
         with pytest.raises(ValueError, match="momentum=nan"):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, "sgdm",
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("sgdm",),
                          np.zeros(shape.n), momentum=float("nan"))
         with pytest.raises(ValueError):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, "newton",
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("newton",),
                          np.zeros(shape.n))
 
     def test_infinite_lr_rejected(self):
         shape, X, y = _one_point_problem()
         with pytest.raises(ValueError, match="lr=inf"):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, "adam",
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("adam",),
                          np.zeros(shape.n), lr=float("inf"))
