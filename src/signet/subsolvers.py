@@ -4,8 +4,9 @@
 
 Quadratic loss has a closed-form regularized least-squares step; absolute
 and hinge losses are handled by ADMM with closed-form proximal updates.
-Both return (dtheta, StepInfo): the step and the subproblem objective at
-it, formed from the residual-space solve without a product with J.
+Both solve with K = I + t c J J^T by one triangular pair and return
+(dtheta, StepInfo) by one identity (_step): no Jacobian is built, and the
+model value needs no product with J. LM takes b = -F, ADMM's last iterate b = w.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpotrs
 
 from .losses import LossKind, outer_value, prox
 from .model import ResidualEval
@@ -51,14 +51,11 @@ class StepInfo:
 
 def _factor(ev: ResidualEval, c: float, t: float):
     """Lower Cholesky factor L of K = I + t c J J^T (m x m), the matrix of
-    both subsolvers, in Fortran order: lm_step solves with it by dpotrs,
-    admm_solve by a dtrsv pair. With it, (c J^T J + I/t)^{-1} J^T =
+    both subsolvers, in Fortran order. With it, (c J^T J + I/t)^{-1} J^T =
     t J^T K^{-1}. ev.gram gives t c J J^T in Fortran order with its lower
     triangle valid, which is all LAPACK's dpotrf reads: it factors K in
     place, with no copy. An overflow in forming K is reported by the
-    finiteness check, not by a RuntimeWarning. dpotrs reports an error only
-    for an illegal argument, which its f2py shape checks rule out, so
-    lm_step drops its info."""
+    finiteness check, not by a RuntimeWarning."""
     if not t > 0:
         raise ValueError(f"stepsize t must be positive, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):   # caught just below
@@ -70,19 +67,28 @@ def _factor(ev: ResidualEval, c: float, t: float):
                                    check_finite=False)[0]
 
 
+def _solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z = K^{-1} b by two BLAS dtrsv calls on the factor as it is, L y = b
+    then L^T z = y: for one right-hand side, half the time of LAPACK's
+    Cholesky solve at m ~ 300, and equal to it to rounding."""
+    return dtrsv(L, dtrsv(L, b, lower=1), trans=1, lower=1)
+
+
+def _step(ev: ResidualEval, b: np.ndarray, z: np.ndarray, c: float, t: float,
+          loss: LossKind, **info) -> tuple[np.ndarray, StepInfo]:
+    """The step dtheta = t c J^T z for z = K^{-1} b, with its model value
+    from J dtheta = b - z and ||dtheta||^2/(2t) = c z^T (J dtheta)/2."""
+    Jd = b - z
+    model_value = outer_value(ev.F + Jd, loss) + c * float(z @ Jd) / 2.0
+    return (t * c) * ev.jtr(z), StepInfo(model_value, **info)
+
+
 def lm_step(ev: ResidualEval, t: float) -> tuple[np.ndarray, StepInfo]:
     """Closed-form quadratic-loss step d = -((2/m) J^T J + I/t)^{-1} (2/m) J^T F,
-    computed as d = -t c J^T K^{-1} F with c = 2/m: K from ev.gram, J^T z
-    from ev.jtr, so no Jacobian is built. With z = K^{-1} F, F + J d = z and
-    ||d||^2/(2t) = c z^T (F - z)/2 give the model value.
-
-    The one solve goes through LAPACK's dpotrs, not admm_solve's dtrsv
-    pair: at one solve per outer iteration the pair saves no measurable
-    time, and it would move the quadratic fits' last bits."""
-    F, c = ev.F, 2.0 / ev.m
-    z, _ = dpotrs(_factor(ev, c, t), F, lower=1)
-    model_value = outer_value(z, LossKind.QUADRATIC) + c * float(z @ (F - z)) / 2.0
-    return -(t * c) * ev.jtr(z), StepInfo(model_value)
+    computed as d = t c J^T K^{-1} b with c = 2/m and b = -F: one solve
+    with K from ev.gram, J^T z from ev.jtr, so no Jacobian is built."""
+    c, b = 2.0 / ev.m, -ev.F
+    return _step(ev, b, _solve(_factor(ev, c, t), b), c, t, LossKind.QUADRATIC)
 
 
 def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
@@ -93,18 +99,13 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
     mu-update is the separable prox with kappa = 1/(m*rho); the dtheta-update
     solves (rho J^T J + I/t) dtheta = rho J^T w, w = mu - F + lambda/rho. It
     runs in residual space: with K = I + t rho J J^T factored once per call,
-    z = K^{-1} w gives J dtheta = w - z and dtheta = t rho J^T z, so an
-    iteration is one m x m triangular solve pair and dtheta = ev.jtr(z)
-    is formed once, after the loop; K comes from ev.gram, so no Jacobian is
-    built. The pair is two BLAS dtrsv calls, L y = w then L^T z = y, on the
-    factor as it is: for one right-hand side they take half of dpotrs's
-    time at m ~ 300 and agree with it to rounding (~1e-15 relative).
+    an iteration is one solve z = K^{-1} w and J dtheta = w - z, and
+    dtheta = t rho J^T z is formed once, after the loop.
     Stops when the primal residual mu - F - J dtheta and the dual
     residual divided by rho, the change in J dtheta, are both at most
     eps * max(||mu - F||, ||J dtheta||): measured against the size of the
     subproblem's own step, so that a small subproblem does not pass at its
     first, cold-start iterate. Otherwise returns the last iterate unconverged at max_iters.
-    The model value uses J dtheta = w - z and ||dtheta||^2/(2t) = rho z^T (w - z)/2.
     """
     if loss not in (LossKind.ABSOLUTE, LossKind.HINGE):
         raise ValueError(f"ADMM subsolver handles absolute/hinge losses, got {loss!r}")
@@ -124,7 +125,7 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
         mu_F = mu - F
         w = mu_F + lam_rho
         # K was checked when factored; a non-finite w fails the r_norm check
-        z = dtrsv(L, dtrsv(L, w, lower=1), trans=1, lower=1)
+        z = _solve(L, w)
         Jd_prev = Jd
         Jd = w - z
         r = mu_F - Jd
@@ -138,7 +139,5 @@ def admm_solve(ev: ResidualEval, t: float, loss: LossKind,
         if r_norm <= tol and s_norm <= rho * tol:
             converged = True
             break
-    model_value = outer_value(F + Jd, loss) + rho * float(z @ Jd) / 2.0
-    info = StepInfo(model_value, iterations=it, final_primal_residual_norm=r_norm,
-                    final_dual_residual_norm=s_norm, converged=converged)
-    return (t * rho) * ev.jtr(z), info
+    return _step(ev, w, z, rho, t, loss, iterations=it, final_primal_residual_norm=r_norm,
+                 final_dual_residual_norm=s_norm, converged=converged)

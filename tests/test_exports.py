@@ -4,7 +4,8 @@ defines it: the library modules, the experiment scripts and the benchmark
 harness. A name used only by its own module and the tests stays
 importable from that module, not from `signet`; a product used only by
 the tests belongs to the tests' dense-Jacobian oracles. The experiment
-scripts use no private (`_`-prefixed) name of a signet module."""
+scripts use no private (`_`-prefixed) name of a signet module, and no
+library module or script imports a name it never uses."""
 
 import ast
 import importlib
@@ -71,3 +72,33 @@ def test_scripts_use_no_private_signet_name():
     found = {path.name: sorted(_referenced_names(path) & private)
              for path in sorted((ROOT / "scripts").glob("*.py"))}
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a file imports and never loads. A name listed in the file's
+    `__all__` counts as used: `signet/__init__.py` imports to re-export."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    # a binding left behind by a deleted code path, such as a LAPACK routine
+    # no caller uses any more, fails here
+    files = (sorted((ROOT / "src" / "signet").glob("*.py"))
+             + sorted((ROOT / "scripts").glob("*.py")))
+    assert [entry for path in files for entry in _unused_imports(path)] == []

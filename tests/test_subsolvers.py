@@ -51,50 +51,51 @@ def triangular_pair(factor, w):
 
 def reference_cholesky(ev, t, loss, cfg, solve=triangular_pair):
     """The subsolvers' residual-space arithmetic through scipy's wrappers:
-    cho_factor on the C-ordered K, then cho_solve for LM and `solve`, by
-    default a solve_triangular pair, for ADMM, np.linalg.norm. The
-    oracle for the bitwise contract: the subsolvers hand the same values to
-    the same LAPACK and BLAS routines in the same order, so they must agree
-    to the last bit. The model value is formed by the same identity:
-    F + J d = z for LM, J dtheta = w - z for ADMM."""
+    cho_factor on the C-ordered K, then `solve`, by default a
+    solve_triangular pair, and np.linalg.norm. The oracle for the bitwise
+    contract: the subsolvers hand the same values to the same LAPACK and
+    BLAS routines in the same order, so they must agree to the last bit.
+    Both return by the same identity from z = K^{-1} b, with b = -F for LM
+    (one solve) and b = w for ADMM's last iterate: J dtheta = b - z,
+    dtheta = t c J^T z and ||dtheta||^2/(2t) = c z^T (J dtheta)/2."""
     J, F, m = ev.J, ev.F, ev.m
     c = 2.0 / m if loss is LossKind.QUADRATIC else cfg.rho
     K = J @ J.T
     K *= t * c
     K[np.diag_indices_from(K)] += 1.0
     factor = scipy.linalg.cho_factor(K, lower=True)
+    it, r_norm, s_norm, converged = 0, 0.0, 0.0, True
     if loss is LossKind.QUADRATIC:
-        z = scipy.linalg.cho_solve(factor, F)
-        model_value = outer_value(z, loss) + c * float(z @ (F - z)) / 2.0
-        return -(t * c) * (J.T @ z), StepInfo(model_value)
-    rho = cfg.rho
-    lam, Jd = np.zeros(m), np.zeros(m)
-    converged = False
-    for it in range(1, cfg.max_iters + 1):
-        mu = prox(F + Jd - lam / rho, 1.0 / (m * rho), loss)
-        mu_F = mu - F
-        w = mu_F + lam / rho
-        z = solve(factor, w)
-        Jd_prev, Jd = Jd, w - z
-        r = mu_F - Jd
-        lam = lam + rho * r
-        r_norm = float(np.linalg.norm(r))
-        s_norm = float(np.linalg.norm(rho * (Jd - Jd_prev)))
-        tol = cfg.eps * max(np.linalg.norm(mu_F), np.linalg.norm(Jd))
-        if r_norm <= tol and s_norm <= rho * tol:
-            converged = True
-            break
-    model_value = outer_value(F + Jd, loss) + rho * float(z @ Jd) / 2.0
-    return (t * rho) * (J.T @ z), StepInfo(model_value, it, r_norm, s_norm,
-                                           converged)
+        b = -F
+        z = solve(factor, b)
+    else:
+        rho = cfg.rho
+        lam, Jd = np.zeros(m), np.zeros(m)
+        converged = False
+        for it in range(1, cfg.max_iters + 1):
+            mu = prox(F + Jd - lam / rho, 1.0 / (m * rho), loss)
+            mu_F = mu - F
+            b = mu_F + lam / rho
+            z = solve(factor, b)
+            Jd_prev, Jd = Jd, b - z
+            r = mu_F - Jd
+            lam = lam + rho * r
+            r_norm = float(np.linalg.norm(r))
+            s_norm = float(np.linalg.norm(rho * (Jd - Jd_prev)))
+            tol = cfg.eps * max(np.linalg.norm(mu_F), np.linalg.norm(Jd))
+            if r_norm <= tol and s_norm <= rho * tol:
+                converged = True
+                break
+    Jd = b - z
+    model_value = outer_value(F + Jd, loss) + c * float(z @ Jd) / 2.0
+    return (t * c) * (J.T @ z), StepInfo(model_value, it, r_norm, s_norm, converged)
 
 
 def _count_linalg(monkeypatch):
-    """Count the subsolvers' factorizations (scipy.linalg.cho_factor), LM's
-    triangular solve pairs (their dpotrs binding) and ADMM's single
-    triangular solves (their dtrsv binding)."""
+    """Count the subsolvers' factorizations (scipy.linalg.cho_factor) and
+    single triangular solves (their dtrsv binding), two to a solve with K."""
     import signet.subsolvers as sub
-    calls = {"cho_factor": 0, "dpotrs": 0, "dtrsv": 0}
+    calls = {"cho_factor": 0, "dtrsv": 0}
 
     def counting(host, name):
         real = getattr(host, name)
@@ -105,7 +106,6 @@ def _count_linalg(monkeypatch):
         monkeypatch.setattr(host, name, counted)
 
     counting(sub.scipy.linalg, "cho_factor")
-    counting(sub, "dpotrs")
     counting(sub, "dtrsv")
     return calls
 
@@ -149,7 +149,7 @@ class TestLmStep:
     def test_one_factorization_one_solve(self, rng, monkeypatch):
         calls = _count_linalg(monkeypatch)
         lm_step(_random_eval(rng, 8, 8), 10.0)
-        assert calls == {"cho_factor": 1, "dpotrs": 1, "dtrsv": 0}
+        assert calls == {"cho_factor": 1, "dtrsv": 2}
 
 
 @pytest.mark.parametrize("solve", [
@@ -257,7 +257,7 @@ class TestAdmm:
         _, tr = admm_solve(ev, 10.0, LossKind.ABSOLUTE,
                            AdmmConfig(rho=0.1, eps=1e-12, max_iters=50))
         assert tr.iterations == 50
-        assert calls == {"cho_factor": 1, "dpotrs": 0, "dtrsv": 2 * 50}
+        assert calls == {"cho_factor": 1, "dtrsv": 2 * 50}
 
     @pytest.mark.parametrize("loss", [LossKind.ABSOLUTE, LossKind.HINGE])
     @pytest.mark.parametrize("m, n", [(6, 10), (8, 8), (12, 5)],
@@ -311,13 +311,14 @@ def test_bitwise_equal_to_cholesky_reference(rng, m, n, loss):
 
 
 @pytest.mark.parametrize("setup, loss, pair", [
+    (FRANKE_QUADRATIC, LossKind.QUADRATIC, None),
     (FRANKE_ABSOLUTE, LossKind.ABSOLUTE, None),
     (DIGITS_HINGE, LossKind.HINGE, (0, 1)),
-], ids=["franke_absolute", "digits_0_1"])
+], ids=["franke_quadratic", "franke_absolute", "digits_0_1"])
 def test_admm_triangular_pair_matches_cho_solve_at_start_point(setup, loss, pair):
-    # ADMM's dtrsv pair against LAPACK's dpotrs (through cho_solve) on the
-    # acceptance start points' Jacobians: the same K, so only the solve
-    # differs, and by rounding alone
+    # the subsolvers' dtrsv pair (LM's one solve, ADMM's every solve) against
+    # LAPACK's dpotrs (through cho_solve) on the acceptance start points'
+    # Jacobians: the same K, so only the solve differs, and by rounding alone
     train, _ = (make_franke_datasets() if pair is None else
                 make_binary_task(load_digits_csv(), *pair, seed=setup.seed,
                                  normalize=True))
@@ -326,7 +327,8 @@ def test_admm_triangular_pair_matches_cho_solve_at_start_point(setup, loss, pair
     ev = inner_eval(theta, shape, train.inputs, train.targets, loss)
     ev = DenseEval(F=ev.F, J=ev.jacobian())
     t, cfg = setup.cfg.t, setup.cfg.admm
-    d, info = admm_solve(ev, t, loss, cfg)
+    d, info = (lm_step(ev, t) if loss is LossKind.QUADRATIC
+               else admm_solve(ev, t, loss, cfg))
     d_ref, ref = reference_cholesky(ev, t, loss, cfg, solve=scipy.linalg.cho_solve)
     assert (info.iterations, info.converged) == (ref.iterations, ref.converged)
     assert np.linalg.norm(d - d_ref) <= 1e-12 * np.linalg.norm(d_ref)
