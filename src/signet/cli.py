@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -27,7 +28,8 @@ from . import data as data_mod
 from . import diagnostics
 from .losses import LossKind
 from .model import NetworkShape, init_params, inner_eval, predict
-from .solvers import FitReport, SolverConfig, baseline_fit, glpa_fit, lpa_fit
+from .solvers import (FitReport, IterationRecord, SolverConfig, baseline_fit,
+                      glpa_fit, lpa_fit)
 from .subsolvers import AdmmConfig
 
 SCHEMA_VERSION = 6
@@ -160,11 +162,12 @@ def _baseline_fits(args, names, train, shape, loss, theta0) -> list[FitReport]:
 
 
 def _write_csv(path: Path, header: list[str], rows):
-    """Float cells get 17 significant digits, so they read back bitwise."""
+    """Floats get 17 significant digits, so they read back bitwise; bools 1/0."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else
+                          int(v) if isinstance(v, bool) else v for v in row]
                          for row in rows)
 
 
@@ -235,11 +238,9 @@ def cmd_run(args) -> int:
     report, fields = run_summary(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "trace.csv",
-               ["k", "objective", "step_norm", "eta", "admm_iters", "elapsed_s",
-                "accepted"],
-               ((r.k, r.objective, r.step_norm, r.eta, r.admm_iters, r.elapsed,
-                 int(r.accepted)) for r in report.trace))
+    header = [f.name for f in dataclasses.fields(IterationRecord)]
+    _write_csv(out / "trace.csv", header,
+               ([getattr(r, name) for name in header] for r in report.trace))
     _write_json(out / "summary.json", args, fields)
     if args.save_model:
         _write_csv(out / "model.csv", ["theta"], ((v,) for v in report.theta_star))

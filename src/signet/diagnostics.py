@@ -43,9 +43,7 @@ def jacobian_rank(J: np.ndarray) -> tuple[int, bool]:
     J = np.asarray(J, dtype=float)
     if not np.all(np.isfinite(J)):
         raise FloatingPointError("non-finite entries in Jacobian")
-    sv = np.linalg.svd(J, compute_uv=False)
-    threshold = 1e-10 * max(J.shape) * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > threshold))
+    rank = int(np.linalg.matrix_rank(J, rtol=1e-10 * max(J.shape)))
     return rank, rank == J.shape[0]
 
 

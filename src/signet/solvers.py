@@ -5,6 +5,7 @@ first-order baselines (SGDM, RMSProp, Adam) for comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import LossKind, outer_gradient, outer_value
-from .model import NetworkShape, ResidualEval, _input_gram, inner_eval
+from .model import NetworkShape, _input_gram, inner_eval
 from .subsolvers import AdmmConfig, admm_solve, lm_step
 
 
@@ -41,7 +42,7 @@ class IterationRecord:
     step_norm: float
     eta: float
     admm_iters: int
-    elapsed: float
+    elapsed_s: float
     accepted: bool = True   # line-search rule satisfied (always True for LPA)
 
 
@@ -55,28 +56,26 @@ class FitReport:
     final_objective: float
 
 
-def backtrack(theta_k, dtheta_k, obj_k: float, predicted: float,
-              ev_k: ResidualEval, loss: LossKind, shape: NetworkShape, inputs,
-              targets):
+def backtrack(evaluate, loss: LossKind, theta_k, dtheta_k, obj_k: float,
+              predicted: float):
     """Find the largest eta in {1, TAU, TAU^2, ...} (at most MAX_BACKTRACKS
     trials) satisfying the sufficient-decrease rule
 
         outer(F(theta + eta*d)) - obj_k <= C * eta * predicted,
 
-    where obj_k = outer(F(theta)), ev_k's objective, and predicted =
-    model(d) - obj_k, model(d) the subproblem objective at d that the
-    subsolver returns. A non-finite trial objective or predicted decrease
-    fails the rule. Returns (eta, trial_count, ev), ev the accepted trial's
-    evaluation, with ev_k's input Gram; if no trial satisfies the rule, eta
-    is the last trial's and ev is None.
+    where F(theta) is evaluate(theta).F, the fit's residual evaluation,
+    obj_k = outer(F(theta)), and predicted = model(d) - obj_k, model(d) the
+    subproblem objective at d that the subsolver returns. A non-finite trial
+    objective or predicted decrease fails the rule. Returns (eta,
+    trial_count, ev), ev the accepted trial's evaluation; if no trial
+    satisfies the rule, eta is the last trial's and ev is None.
     """
     eta = 1.0
     # an overflowing step gives non-finite values here, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for trial in range(1, MAX_BACKTRACKS + 1):
             try:
-                ev = inner_eval(theta_k + eta * dtheta_k, shape, inputs, targets,
-                                loss, input_gram=ev_k.input_gram)
+                ev = evaluate(theta_k + eta * dtheta_k)
                 obj = outer_value(ev.F, loss)
             except FloatingPointError:      # non-finite residuals
                 obj = math.inf
@@ -88,22 +87,28 @@ def backtrack(theta_k, dtheta_k, obj_k: float, predicted: float,
     return eta, MAX_BACKTRACKS, None
 
 
-def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig,
-         theta0: np.ndarray, line_search: bool) -> FitReport:
-    theta0 = np.asarray(theta0, dtype=float)
+def _fit_arrays(inputs, targets, theta0, shape: NetworkShape):
+    """A fit's inputs and targets as float arrays, and a float copy of its
+    start point theta0, checked to be one parameter vector of shape."""
+    theta0 = np.array(theta0, dtype=float)
     if theta0.shape != (shape.n,):
         raise ValueError(f"theta0 has shape {theta0.shape}, expected ({shape.n},)")
-    inputs = np.asarray(inputs, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    return np.asarray(inputs, dtype=float), np.asarray(targets, dtype=float), theta0
 
-    theta = theta0.copy()
+
+def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig,
+         theta0: np.ndarray, line_search: bool) -> FitReport:
+    inputs, targets, theta = _fit_arrays(inputs, targets, theta0, shape)
+
     trace: list[IterationRecord] = []
     start = time.perf_counter()
     stop_reason = "max_outer"
-    # the subsolvers use J only through ev.gram and ev.jtr, formed from the
-    # hidden-layer pass and this Gram of the fixed inputs
-    input_gram = _input_gram(inputs)
-    ev = inner_eval(theta, shape, inputs, targets, loss, input_gram=input_gram)
+    # every point is evaluated with this Gram of the fixed inputs: the
+    # subsolvers use J only through ev.gram and ev.jtr, formed from it
+    evaluate = functools.partial(inner_eval, shape=shape, inputs=inputs,
+                                 targets=targets, loss=loss,
+                                 input_gram=_input_gram(inputs))
+    ev = evaluate(theta)
     for k in range(cfg.max_outer):
         obj = outer_value(ev.F, loss)
         if not np.isfinite(obj):
@@ -116,11 +121,10 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
             step_norm = float(np.linalg.norm(dtheta))
         converged = step_norm < cfg.step_tol
         if line_search:
-            eta, _, next_ev = backtrack(theta, dtheta, obj, info.model_value - obj,
-                                        ev, loss, shape, inputs, targets)
+            eta, _, next_ev = backtrack(evaluate, loss, theta, dtheta, obj,
+                                        info.model_value - obj)
         else:
-            eta, next_ev = 1.0, inner_eval(theta + dtheta, shape, inputs, targets,
-                                           loss, input_gram=input_gram)
+            eta, next_ev = 1.0, evaluate(theta + dtheta)
         accepted = next_ev is not None
         if accepted:
             theta, ev = theta + eta * dtheta, next_ev
@@ -158,7 +162,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
     Runs the named optimizers in lockstep from the same theta0, one report
     per name, in order: each iteration evaluates the stacked iterates in one
     hidden-layer pass and one J^T r, then updates each iterate as if it ran
-    alone, bit for bit. The rows of one iteration share one `elapsed`
+    alone, bit for bit. The rows of one iteration share one `elapsed_s`
     clock."""
     if not (0 < lr < math.inf and math.isfinite(momentum) and iters >= 1):
         raise ValueError(f"invalid hyperparameters lr={lr}, momentum={momentum}, "
@@ -169,11 +173,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
     for name in names:
         if name not in ("sgdm", "rmsprop", "adam"):
             raise ValueError(f"unknown optimizer {name!r}")
-    inputs = np.asarray(inputs, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (shape.n,):
-        raise ValueError(f"theta0 has shape {theta0.shape}, expected ({shape.n},)")
+    inputs, targets, theta0 = _fit_arrays(inputs, targets, theta0, shape)
 
     thetas = np.tile(theta0, (len(names), 1))
     vel, sq, mom1 = ([np.zeros(shape.n) for _ in names] for _ in range(3))

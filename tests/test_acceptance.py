@@ -16,7 +16,7 @@ from signet.data import (NoiseSpec, load_digits_csv, make_binary_task,
                          make_franke_datasets)
 from signet.diagnostics import (adaptive_network_size, classification_errors,
                                 rms_error)
-from signet.losses import LossKind, outer_value, prox
+from signet.losses import LossKind, prox
 from signet.model import NetworkShape, init_params, inner_eval, predict
 from signet.solvers import SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from signet.subsolvers import AdmmConfig, admm_solve, lm_step

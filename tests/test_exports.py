@@ -5,12 +5,16 @@ harness. A name used only by its own module and the tests stays
 importable from that module, not from `signet`; a product used only by
 the tests belongs to the tests' dense-Jacobian oracles. The experiment
 scripts use no private (`_`-prefixed) name of a signet module, and no
-library module or script imports a name it never uses."""
+library module, script or test file imports a name it never uses. The
+declared numpy floor covers the numpy API the package uses."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
+
+import pytest
 
 import signet
 from signet.model import ResidualEval
@@ -76,10 +80,13 @@ def test_scripts_use_no_private_signet_name():
 
 def _unused_imports(path: Path) -> list:
     """Names a file imports and never loads. A name listed in the file's
-    `__all__` counts as used: `signet/__init__.py` imports to re-export."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    `__all__` counts as used: `signet/__init__.py` imports to re-export. An
+    import whose line is marked `# noqa: F401` is kept for its side effect."""
+    text = path.read_text(encoding="utf-8")
+    kept = {i for i, line in enumerate(text.splitlines(), 1)
+            if line.rstrip().endswith("# noqa: F401")}
     imported, used = {}, set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -93,12 +100,24 @@ def _unused_imports(path: Path) -> list:
                       for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return [f"{path.name}:{line}: {name}" for name, line in imported.items()
-            if name not in used]
+            if name not in used and line not in kept]
 
 
 def test_no_unused_imports():
     # a binding left behind by a deleted code path, such as a LAPACK routine
     # no caller uses any more, fails here
     files = (sorted((ROOT / "src" / "signet").glob("*.py"))
-             + sorted((ROOT / "scripts").glob("*.py")))
+             + sorted((ROOT / "scripts").glob("*.py"))
+             + sorted((ROOT / "tests").glob("*.py")))
     assert [entry for path in files for entry in _unused_imports(path)] == []
+
+
+def test_declared_numpy_floor_has_the_api_used():
+    # ndarray.mT (model.py) and matrix_rank's rtol (diagnostics.py) arrived
+    # in numpy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    [floor] = [re.fullmatch(r"numpy>=(\d+)[.\d]*", dep)
+               for dep in project["project"]["dependencies"]
+               if dep.startswith("numpy")]
+    assert floor is not None and int(floor.group(1)) >= 2

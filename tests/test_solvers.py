@@ -1,11 +1,11 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet.data import make_franke_datasets
 from signet.losses import LossKind, outer_value
 import signet.model as model_mod
 import signet.solvers as solvers_mod
@@ -126,9 +126,11 @@ class TestBacktrack:
         X = rng.uniform(0, 1, (8, 2))
         y = rng.normal(size=8)
         theta = rng.uniform(-0.5, 0.5, shape.n)
-        ev = inner_eval(theta, shape, X, y, LossKind.QUADRATIC,
-                        input_gram=model_mod._input_gram(X))
-        return shape, X, y, theta, ev
+        # the fit's evaluator, as _fit binds it
+        evaluate = functools.partial(inner_eval, shape=shape, inputs=X, targets=y,
+                                     loss=LossKind.QUADRATIC,
+                                     input_gram=model_mod._input_gram(X))
+        return shape, X, y, theta, evaluate(theta), evaluate
 
     @staticmethod
     def _obj_predicted(ev, d, t):
@@ -139,42 +141,41 @@ class TestBacktrack:
             return obj, subproblem_model_value(ev, d, t, LossKind.QUADRATIC) - obj
 
     def test_full_step_accepted_when_rule_holds(self, rng):
-        shape, X, y, theta, ev = self._setup(rng)
+        shape, X, y, theta, ev, evaluate = self._setup(rng)
         from signet.subsolvers import lm_step
         d, info = lm_step(ev, 1.0)
         obj = outer_value(ev.F, LossKind.QUADRATIC)
-        eta, evals, trial_ev = backtrack(theta, d, obj, info.model_value - obj, ev,
-                                         LossKind.QUADRATIC, shape, X, y)
+        eta, evals, trial_ev = backtrack(evaluate, LossKind.QUADRATIC, theta, d, obj,
+                                         info.model_value - obj)
         # small t makes the step conservative, the unit step passes the rule
         assert trial_ev is not None and eta == 1.0 and evals == 1
         assert np.array_equal(trial_ev.F,
                               inner_eval(theta + d, shape, X, y, LossKind.QUADRATIC).F)
 
     def test_geometric_schedule(self, rng):
-        shape, X, y, theta, ev = self._setup(rng)
+        shape, X, y, theta, ev, evaluate = self._setup(rng)
         # a deliberately bad huge direction forces shrinking
         d = np.ones(shape.n) * 50.0
-        eta, evals, _ = backtrack(theta, d, *self._obj_predicted(ev, d, 1.0), ev,
-                                  LossKind.QUADRATIC, shape, X, y)
+        eta, evals, _ = backtrack(evaluate, LossKind.QUADRATIC, theta, d,
+                                  *self._obj_predicted(ev, d, 1.0))
         assert eta == pytest.approx(solvers_mod.TAU ** (evals - 1))
 
-    def test_non_finite_trial_shrinks_step(self, rng, monkeypatch):
-        shape, X, y, theta, ev = self._setup(rng)
+    def test_non_finite_trial_shrinks_step(self, rng):
+        shape, X, y, theta, ev, evaluate = self._setup(rng)
         from signet.subsolvers import lm_step
         d, info = lm_step(ev, 1.0)
         obj = outer_value(ev.F, LossKind.QUADRATIC)
         calls = {"n": 0}
 
-        def first_trial_non_finite(*args, **kwargs):
+        def first_trial_non_finite(theta_trial):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise FloatingPointError("non-finite entries in residual evaluation")
-            return inner_eval(*args, **kwargs)
+            return evaluate(theta_trial)
 
-        monkeypatch.setattr(solvers_mod, "inner_eval", first_trial_non_finite)
         # the unit step would pass (test_full_step_accepted_when_rule_holds)
-        eta, evals, trial_ev = backtrack(theta, d, obj, info.model_value - obj, ev,
-                                         LossKind.QUADRATIC, shape, X, y)
+        eta, evals, trial_ev = backtrack(first_trial_non_finite, LossKind.QUADRATIC,
+                                         theta, d, obj, info.model_value - obj)
         assert (eta, evals) == (solvers_mod.TAU, 2)
         # the accepted trial's evaluation is returned, bitwise the one at
         # theta + eta*d, with the caller's input Gram
@@ -183,12 +184,12 @@ class TestBacktrack:
         assert trial_ev.input_gram is ev.input_gram
 
     def test_all_trials_non_finite(self, rng):
-        shape, X, y, theta, ev = self._setup(rng)
+        shape, X, y, theta, ev, evaluate = self._setup(rng)
         d = np.full(shape.n, 1e308)
         # rejected: the last trial's eta, which the fit does not take, and
         # no evaluation
-        assert backtrack(theta, d, *self._obj_predicted(ev, d, 1.0), ev,
-                         LossKind.QUADRATIC, shape, X, y) == \
+        assert backtrack(evaluate, LossKind.QUADRATIC, theta, d,
+                         *self._obj_predicted(ev, d, 1.0)) == \
             (solvers_mod.TAU ** (solvers_mod.MAX_BACKTRACKS - 1),
              solvers_mod.MAX_BACKTRACKS, None)
 
@@ -227,8 +228,8 @@ class TestGlpa:
 
     @pytest.mark.parametrize("accepted", [True, False])
     def test_last_step_taken_only_if_accepted(self, rng, monkeypatch, accepted):
-        def half_step(theta, d, obj, predicted, ev, loss, shape, X, y):
-            trial_ev = inner_eval(theta + 0.5 * d, shape, X, y, loss)
+        def half_step(evaluate, loss, theta, d, obj, predicted):
+            trial_ev = evaluate(theta + 0.5 * d)
             return 0.5, 2, trial_ev if accepted else None
 
         monkeypatch.setattr(solvers_mod, "backtrack", half_step)
@@ -454,7 +455,7 @@ class TestBaselines:
             assert rep.final_objective == solo.final_objective, name
         assert not np.array_equal(reports[0].theta_star, reports[2].theta_star)
         # the rows of one iteration share one clock
-        assert all(a.elapsed == b.elapsed == c.elapsed
+        assert all(a.elapsed_s == b.elapsed_s == c.elapsed_s
                    for a, b, c in zip(*(rep.trace for rep in reports)))
 
     def test_optimizer_names_checked(self):

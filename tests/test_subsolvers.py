@@ -7,8 +7,7 @@ from signet.losses import LossKind, outer_value, prox
 from signet.model import NetworkShape, init_params, inner_eval
 from signet.subsolvers import AdmmConfig, StepInfo, admm_solve, lm_step
 
-from conftest import (DenseEval, pack_params, random_instance, scalar_loss,
-                      subproblem_model_value)
+from conftest import DenseEval, pack_params, scalar_loss, subproblem_model_value
 from test_acceptance import DIGITS_HINGE, FRANKE_ABSOLUTE, FRANKE_QUADRATIC
 
 
