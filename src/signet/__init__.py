@@ -7,9 +7,8 @@ import sys
 
 # One BLAS thread unless the caller's environment says otherwise. At the
 # subproblem sizes here (m in the hundreds) a second OpenBLAS thread makes a
-# whole fit several times slower: the Franke quadratic lpa_fit took
-# 1.06-1.16 s on one thread and 6.25-7.62 s (12-13 s of CPU time) on two, on
-# a 2-vCPU VM. The cause is that numpy and scipy each load their own
+# whole fit several times slower (README.md, "One BLAS thread by default",
+# has the measurement). The cause is that numpy and scipy each load their own
 # OpenBLAS, and a fit alternates calls between them (numpy's A @ A.T, then
 # scipy's dsyrk), so the two libraries' thread pools contend for the CPUs.
 # It also changes results in the last bits.

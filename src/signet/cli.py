@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -28,15 +27,15 @@ from . import data as data_mod
 from . import diagnostics
 from .losses import LossKind
 from .model import NetworkShape, init_params, inner_eval, predict
-from .solvers import (FitReport, IterationRecord, SolverConfig, baseline_fit,
-                      glpa_fit, lpa_fit)
+from .solvers import (BASELINES, FitReport, IterationRecord, SolverConfig,
+                      baseline_fit, glpa_fit, lpa_fit)
 from .subsolvers import AdmmConfig
 
 SCHEMA_VERSION = 6
-BASELINES = ("sgdm", "rmsprop", "adam")
 
 
-def _add_data_flags(p: argparse.ArgumentParser):
+def _add_data_flags(p: argparse.ArgumentParser, tasks: list[str]):
+    p.add_argument("--task", choices=tasks, required=True)
     p.add_argument("--noise-sigma", type=float, default=None,
                    help="enable training-target noise with this sigma_tilde")
     p.add_argument("--seed", type=int, default=0)
@@ -77,24 +76,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="train one model and write result files")
-    p_run.add_argument("--task", choices=["franke", "digits", "custom-csv"],
-                       required=True)
+    p_gen = sub.add_parser("gen-data", help="write datasets as CSV")
+    p_cmp = sub.add_parser("compare",
+                           help="GLPA vs SGDM/RMSProp/Adam on one task")
+    _add_data_flags(p_gen, ["franke", "digits"])
+    for p in (p_run, p_cmp):
+        _add_data_flags(p, ["franke", "digits", "custom-csv"])
+        _add_solver_flags(p)
     p_run.add_argument("--solver", choices=["lpa", "glpa", *BASELINES],
                        default="lpa")
     p_run.add_argument("--save-model", action="store_true",
                        help="also write model.csv with the final parameters")
-
-    p_gen = sub.add_parser("gen-data", help="write datasets as CSV")
-    p_gen.add_argument("--task", choices=["franke", "digits"], required=True)
-
-    p_cmp = sub.add_parser("compare",
-                           help="GLPA vs SGDM/RMSProp/Adam on one task")
-    p_cmp.add_argument("--task", choices=["franke", "digits", "custom-csv"],
-                       required=True)
-    for p in (p_run, p_gen, p_cmp):
-        _add_data_flags(p)
-    for p in (p_run, p_cmp):
-        _add_solver_flags(p)
     return parser
 
 
@@ -118,12 +110,10 @@ def _load_task(args) -> tuple[data_mod.Dataset, data_mod.Dataset]:
         a, b = _parse_pair(args.pair)
         return data_mod.make_binary_task(digits, a, b, args.train_frac,
                                          args.seed, args.normalize)
-    if args.task == "custom-csv":
-        if args.data is None:
-            raise ValueError("custom-csv task needs --data")
-        full = data_mod.load_dataset_csv(args.data)
-        return data_mod.split_dataset(full, args.train_frac, args.seed)
-    raise ValueError(f"unknown task {args.task!r}")
+    if args.data is None:
+        raise ValueError("custom-csv task needs --data")
+    full = data_mod.load_dataset_csv(args.data)
+    return data_mod.split_dataset(full, args.train_frac, args.seed)
 
 
 def _setup(args):
@@ -161,20 +151,11 @@ def _baseline_fits(args, names, train, shape, loss, theta0) -> list[FitReport]:
                         lr=args.lr, momentum=args.momentum, iters=args.iters)
 
 
-def _write_csv(path: Path, header: list[str], rows):
-    """Floats get 17 significant digits, so they read back bitwise; bools 1/0."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.17g}" if isinstance(v, float) else
-                          int(v) if isinstance(v, bool) else v for v in row]
-                         for row in rows)
-
-
 def _write_json(path: Path, args, fields: dict):
     """A result summary: the schema version, the command's flags, the
-    environment, then fields."""
+    environment, then fields. Makes the file's directory."""
     config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"schema_version": SCHEMA_VERSION, "config": config,
                    "environment": _environment(), **fields}, fh, indent=2)
@@ -237,13 +218,13 @@ def run_summary(args) -> tuple[FitReport, dict]:
 def cmd_run(args) -> int:
     report, fields = run_summary(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = [f.name for f in dataclasses.fields(IterationRecord)]
-    _write_csv(out / "trace.csv", header,
-               ([getattr(r, name) for name in header] for r in report.trace))
+    data_mod.write_csv(out / "trace.csv", header,
+                       ([getattr(r, name) for name in header] for r in report.trace))
     _write_json(out / "summary.json", args, fields)
     if args.save_model:
-        _write_csv(out / "model.csv", ["theta"], ((v,) for v in report.theta_star))
+        data_mod.write_csv(out / "model.csv", ["theta"],
+                           ((v,) for v in report.theta_star))
     print(f"wrote {out / 'summary.json'} (final objective "
           f"{report.final_objective:.6g}, {len(report.trace)} iterations)")
     return 0
@@ -252,7 +233,6 @@ def cmd_run(args) -> int:
 def cmd_gen_data(args) -> int:
     train, test = _load_task(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data_mod.save_dataset_csv(train, out / "train.csv")
     data_mod.save_dataset_csv(test, out / "test.csv")
     print(f"wrote {out / 'train.csv'} ({train.m} rows) and "
@@ -262,9 +242,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_compare(args) -> int:
     loss, train, _, shape, theta0 = _setup(args)
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     finals = {}
     reports = [_fit(args, "glpa", train, shape, loss, theta0),
@@ -272,7 +250,7 @@ def cmd_compare(args) -> int:
     for name, report in zip(("glpa", *BASELINES), reports):
         rows.extend((name, rec.k, rec.objective) for rec in report.trace)
         finals[name] = report.final_objective
-    _write_csv(out / "compare.csv", ["solver", "k", "objective"], rows)
+    data_mod.write_csv(out / "compare.csv", ["solver", "k", "objective"], rows)
     _write_json(out / "compare_summary.json", args, {"final_objectives": finals})
     print("final objectives: " +
           ", ".join(f"{k}={v:.6g}" for k, v in finals.items()))

@@ -5,6 +5,7 @@ the positive-noise recipe, and digits CSV loading with binary-task splits.
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -199,12 +200,24 @@ def split_dataset(ds: Dataset, train_fraction: float,
     return Dataset(X[:n_train], y[:n_train]), Dataset(X[n_train:], y[n_train:])
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header row, then rows, with CRLF line ends, making the file's
+    directory. Floats get 17 significant digits, so they read back bitwise;
+    bools are written 1/0."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else
+                          int(v) if isinstance(v, bool) else v for v in row]
+                         for row in rows)
+
+
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Write a dataset as x0..x{d-1},y rows of 17-significant-digit floats."""
-    header = ",".join([f"x{j}" for j in range(ds.d)] + ["y"])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        np.savetxt(fh, np.column_stack([ds.inputs, ds.targets]), fmt="%.17g",
-                   delimiter=",", newline="\r\n", header=header, comments="")
+    write_csv(path, [f"x{j}" for j in range(ds.d)] + ["y"],
+              np.column_stack([ds.inputs, ds.targets]).tolist())
 
 
 def load_dataset_csv(path) -> Dataset:

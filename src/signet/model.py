@@ -151,17 +151,15 @@ def init_params(shape: NetworkShape, kind: str = "uniform", seed: int = 0) -> np
     """Starting point: seeded 'uniform' entries in [-0.5, 0.5]; or seeded
     'wide', uniform in [-0.5, 0.5] with the hidden-layer weights and biases
     redrawn in [-5, 5]."""
-    if kind == "uniform":
-        rng = np.random.default_rng(seed)
-        return rng.uniform(-0.5, 0.5, size=shape.n)
+    if kind not in ("uniform", "wide"):
+        raise ValueError(f"unknown init kind {kind!r}")
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-0.5, 0.5, size=shape.n)
     if kind == "wide":
         # small output weights, spread-out hidden-layer weights; raises the
         # numerical rank of the Jacobian at the starting point
-        rng = np.random.default_rng(seed)
-        theta = rng.uniform(-0.5, 0.5, size=shape.n)
         theta[shape.q:-1] = rng.uniform(-5.0, 5.0, size=shape.n - shape.q - 1)
-        return theta
-    raise ValueError(f"unknown init kind {kind!r}")
+    return theta
 
 
 def _hidden(theta, shape: NetworkShape, X):

@@ -19,6 +19,8 @@ from .subsolvers import AdmmConfig, admm_solve, lm_step
 
 # line search: sufficient-decrease fraction, step shrink factor, trial cap
 C, TAU, MAX_BACKTRACKS = 1e-3, 0.5, 10
+# the first-order optimizers baseline_fit runs
+BASELINES = ("sgdm", "rmsprop", "adam")
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
     if not names:
         raise ValueError("no optimizer given")
     for name in names:
-        if name not in ("sgdm", "rmsprop", "adam"):
+        if name not in BASELINES:
             raise ValueError(f"unknown optimizer {name!r}")
     inputs, targets, theta0 = _fit_arrays(inputs, targets, theta0, shape)
 

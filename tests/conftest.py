@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from signet.diagnostics import adaptive_network_size
 from signet.losses import LossKind, outer_value
-from signet.model import NetworkShape, inner_eval
+from signet.model import NetworkShape, init_params, inner_eval, predict
 
 
 def load_module(path: Path, name: str):
@@ -40,6 +41,22 @@ def random_instance(rng, d_max=5, q_max=8, m_max=12, theta_scale=2.0):
     y = rng.uniform(-1.0, 1.0, size=m)
     labels = rng.choice([-1.0, 1.0], size=m)
     return shape, theta, X, y, labels
+
+
+def planted_instance():
+    """A regression task where the convergence theorem's assumptions hold:
+    50 points uniform in [-1, 1]^8, targets from a planted network theta*
+    of the adaptive size (q = 5, n = 51), so the squared and the absolute
+    loss have minimum 0 at theta* (weak sharp for the absolute loss), and
+    J(theta*) has full row rank, 50 of 50 (sigma_min/sigma_max = 6.8e-6).
+    Returns (shape, X, y, theta*, theta0) with theta0 = theta* + 0.1 N(0, I)
+    from the generator that drew X."""
+    rng = np.random.default_rng(100)
+    X = rng.uniform(-1.0, 1.0, (50, 8))
+    shape = NetworkShape(d=8, q=adaptive_network_size(50, 8))
+    theta_star = init_params(shape, "wide", 0)
+    theta0 = theta_star + 0.1 * rng.normal(size=shape.n)
+    return shape, X, predict(theta_star, shape, X), theta_star, theta0
 
 
 def pack_params(w, V, u, w0) -> np.ndarray:

@@ -505,6 +505,16 @@ class TestCompare:
             build_parser().parse_args(["compare", "--task", "franke",
                                        "--solver", "glpa"])
 
+    def test_failed_fit_leaves_no_out_dir(self, tmp_path, capsys):
+        # the writers make the directory, so a fit that fails makes none
+        out = tmp_path / "c" / "d"
+        rc = main(["compare", "--task", "franke", "--q", "4", "--n-train", "20",
+                   "--n-test", "5", "--max-outer", "5", "--iters", "5",
+                   "--lr", "inf", "--out", str(out)])
+        assert rc == 1
+        assert "lr=inf" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_compare_outputs(self, tmp_path):
         out = tmp_path / "c"
         rc = main(["compare", "--task", "franke", "--q", "4",

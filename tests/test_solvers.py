@@ -14,7 +14,7 @@ from signet.solvers import (SolverConfig, backtrack, baseline_fit, glpa_fit,
                             lpa_fit)
 from signet.subsolvers import AdmmConfig, StepInfo
 
-from conftest import pack_params, subproblem_model_value
+from conftest import pack_params, planted_instance, subproblem_model_value
 
 
 def _one_point_problem():
@@ -386,6 +386,44 @@ def test_glpa_takes_only_accepted_steps(m, d, q, loss, seed):
         # decrease and an accepted step gives one
         objs = [rec.objective for rec in rep.trace] + [rep.final_objective]
         assert all(b <= a for a, b in zip(objs, objs[1:]))
+
+
+def test_local_rate_on_planted_regular_instance():
+    # The convergence theorem's setting: a zero-residual minimum, weak sharp
+    # for the absolute loss, with J of full row rank there (Burke & Ferris
+    # 1995 prove a quadratic local rate for it). At t = 1e11 the proximal
+    # term all but vanishes and E falls superlinearly down to rounding; at
+    # the acceptance suite's t = 1e5 the tail is linear. Measured ratios
+    # E_{k+1}/E_k and objectives, with the bounds asserted here:
+    # - t = 1e11, LPA, quadratic: 4.9e-7 and 2.4e-9 for k = 5, 6, and
+    #   E_7 = 6.9e-26. Bounds: two consecutive ratios <= 1e-4, some E_k
+    #   with k < 10 below 1e-20.
+    # - t = 1e11, GLPA, absolute: 1.4e-3, 2.4e-3 and 5.3e-4 for k = 5..7,
+    #   and E_8 = 3.9e-15. Bounds: three consecutive ratios <= 1e-2, some
+    #   E_k with k < 10 below 1e-12. (GLPA then stops with
+    #   line_search_failed at the rounding floor, 5.3e-17; not asserted.)
+    # - t = 1e5: every ratio from k = 2 on >= 0.54 (quadratic) and >= 0.40
+    #   (absolute), and E_15 = 2.7e-9 and 1.3e-5. Bounds: ratios >= 0.25,
+    #   E_15 >= 1e-10 and >= 1e-7.
+    shape, X, y, theta_star, theta0 = planted_instance()
+    J = inner_eval(theta_star, shape, X, y, LossKind.QUADRATIC).jacobian()
+    assert np.linalg.matrix_rank(J) == X.shape[0]
+    for fit, loss, window, fast, floor, linear_end in (
+            (lpa_fit, LossKind.QUADRATIC, 2, 1e-4, 1e-20, 1e-10),
+            (glpa_fit, LossKind.ABSOLUTE, 3, 1e-2, 1e-12, 1e-7)):
+        objs = {}
+        for t in (1e11, 1e5):
+            cfg = SolverConfig(t=t, step_tol=0.0, max_outer=15,
+                               admm=AdmmConfig(rho=1e-2, eps=1e-2, max_iters=20))
+            rep = fit(X, y, shape, loss, cfg, theta0)
+            objs[t] = np.array([r.objective for r in rep.trace]
+                               + [rep.final_objective])
+        ratios = {t: E[1:] / E[:-1] for t, E in objs.items()}
+        windows = np.lib.stride_tricks.sliding_window_view(ratios[1e11], window)
+        assert windows.max(axis=1).min() <= fast, loss
+        assert objs[1e11][:10].min() <= floor, loss
+        assert len(objs[1e5]) == 16 and ratios[1e5][2:].min() >= 0.25, loss
+        assert objs[1e5][-1] >= linear_end, loss
 
 
 class TestBaselines:
