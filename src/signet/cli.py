@@ -31,24 +31,22 @@ from .solvers import (BASELINES, FitReport, IterationRecord, SolverConfig,
                       baseline_fit, glpa_fit, lpa_fit)
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
-def _add_data_flags(p: argparse.ArgumentParser, tasks: list[str]):
-    p.add_argument("--task", choices=tasks, required=True)
+def _add_data_flags(p: argparse.ArgumentParser):
+    p.add_argument("--task", choices=["franke", "digits"], required=True)
     p.add_argument("--noise-sigma", type=float, default=None,
-                   help="enable training-target noise with this sigma_tilde")
+                   help="enable training-target noise with this sigma_tilde "
+                        "(franke task)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pair", type=str, default="0,1",
                    help="digit pair A,B for the digits task")
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--data", type=str, default=None,
-                   help="CSV path (digits export or custom dataset)")
     p.add_argument("--out", type=str, default="out")
     p.add_argument("--n-train", type=int, default=289)
     p.add_argument("--n-test", type=int, default=121)
     p.add_argument("--normalize", action="store_true",
-                   help="divide digit pixels by 16")
+                   help="divide digit pixels by 16 (digits task)")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
@@ -79,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-data", help="write datasets as CSV")
     p_cmp = sub.add_parser("compare",
                            help="GLPA vs SGDM/RMSProp/Adam on one task")
-    _add_data_flags(p_gen, ["franke", "digits"])
+    _add_data_flags(p_gen)
     for p in (p_run, p_cmp):
-        _add_data_flags(p, ["franke", "digits", "custom-csv"])
+        _add_data_flags(p)
         _add_solver_flags(p)
     p_run.add_argument("--solver", choices=["lpa", "glpa", *BASELINES],
                        default="lpa")
@@ -102,29 +100,25 @@ def _load_task(args) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.task == "franke":
+        if args.normalize:
+            raise ValueError("--normalize applies to the digits task only")
         noise = (data_mod.NoiseSpec(args.noise_sigma, args.seed)
                  if args.noise_sigma is not None else None)
         return data_mod.make_franke_datasets(args.n_train, args.n_test, noise)
-    if args.task == "digits":
-        digits = data_mod.load_digits_csv(args.data)
-        a, b = _parse_pair(args.pair)
-        return data_mod.make_binary_task(digits, a, b, args.train_frac,
-                                         args.seed, args.normalize)
-    if args.data is None:
-        raise ValueError("custom-csv task needs --data")
-    full = data_mod.load_dataset_csv(args.data)
-    return data_mod.split_dataset(full, args.train_frac, args.seed)
+    if args.noise_sigma is not None:
+        raise ValueError("--noise-sigma applies to the franke task only")
+    a, b = _parse_pair(args.pair)
+    return data_mod.make_binary_task(data_mod.load_digits_csv(), a, b,
+                                     seed=args.seed, normalize=args.normalize)
 
 
 def _setup(args):
     """(loss, train, test, shape, theta0) of a run or a comparison."""
     loss = LossKind(args.loss)
+    if (loss is LossKind.HINGE) != (args.task == "digits"):
+        raise ValueError("classification tasks use the hinge loss, and only "
+                         f"they do: got --task {args.task} --loss {args.loss}")
     train, test = _load_task(args)
-    if loss is LossKind.HINGE:
-        if not all(numpy.all(numpy.abs(ds.targets) == 1.0) for ds in (train, test)):
-            raise ValueError("hinge loss needs a binary classification task")
-    elif args.task == "digits":
-        raise ValueError("classification tasks use the hinge loss")
     q = args.q if args.q is not None else diagnostics.adaptive_network_size(
         train.m, train.d)
     shape = NetworkShape(d=train.d, q=q)

@@ -1,22 +1,18 @@
-"""Deterministic dataset construction: Halton points, Franke's surface with
-the positive-noise recipe, and digits CSV loading with binary-task splits.
+"""The paper's two datasets: Franke's surface at Halton points, with the
+positive-noise recipe, and the bundled digits file with its binary-task
+splits; and the one CSV writer for datasets and result files.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-
-DIGITS_ASSET = "digits.csv"
-DIGITS_HEADER = [f"p{i}" for i in range(64)] + ["label"]
-_BUNDLED_DIGITS: list = []      # the bundled file's (pixels, labels), once parsed
 
 
 class DataError(ValueError):
@@ -109,62 +105,21 @@ def make_franke_datasets(n_train: int = 289, n_test: int = 121,
     return Dataset(X_train, y_train), Dataset(X_test, y_test)
 
 
-def _parse_rows(lines) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)    # loadtxt's "no data"
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+def load_digits_csv() -> tuple[np.ndarray, np.ndarray]:
+    """The bundled digits file (header p0..p63,label) as pixels (N, 64) and
+    integer labels (N,). It is parsed on the first call only, and every call
+    shares its arrays, which are read-only."""
+    return _bundled_digits()
 
 
-def _read_csv(path: Path, kind: str, header_ok, header_hint: str = "") -> np.ndarray:
-    """The rows below a CSV's header as one (rows, header columns) float
-    array. The rows are parsed in one pass; only if that pass fails or skips
-    a blank line are they parsed again one by one, to name the bad line."""
-    if not path.exists():
-        raise DataError(f"{kind} file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",") if lines else []
-    if not header_ok(header):
-        raise DataError(f"bad header in {path}{header_hint}")
-    body, width = lines[1:], len(header)
-    with contextlib.suppress(ValueError):
-        values = _parse_rows(body)
-        if body and values.shape == (len(body), width):
-            return values
-    for lineno, line in enumerate(body, start=2):
-        try:
-            row = _parse_rows([line])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparsable value ({exc})") from exc
-        if row.size != width:
-            raise DataError(f"{path}:{lineno}: expected {width} columns, got {row.size}")
-    raise DataError(f"{path}:2: no data rows below the header")
-
-
-def load_digits_csv(path=None) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the digits CSV (header p0..p63,label) into pixels (N, 64) and
-    integer labels (N,), validating pixel range [0, 16] and label range 0..9.
-    A given path is read on every call. Without one, the bundled file is
-    parsed on the first call only, and every call shares its arrays, which
-    are read-only."""
-    if path is None:
-        if not _BUNDLED_DIGITS:
-            digits = load_digits_csv(resources.files("signet") / "assets" / DIGITS_ASSET)
-            for array in digits:
-                array.flags.writeable = False
-            _BUNDLED_DIGITS.append(digits)
-        return _BUNDLED_DIGITS[0]
-    path = Path(path)
-    values = _read_csv(path, "digits", lambda h: h == DIGITS_HEADER,
-                       ": expected p0..p63,label")
-    pixels, labels = values[:, :64], values[:, 64]
-    bad_pixels = ~np.all((pixels >= 0) & (pixels <= 16), axis=1)   # also NaN
-    bad_labels = ~np.isin(labels, np.arange(10))
-    i = int(np.argmax(bad_pixels | bad_labels))     # the first bad row, if any
-    if bad_pixels[i]:
-        raise DataError(f"{path}:{i + 2}: pixel value outside [0, 16]")
-    if bad_labels[i]:
-        raise DataError(f"{path}:{i + 2}: label {labels[i]:g} outside 0..9")
-    return pixels, labels.astype(int)
+@functools.cache
+def _bundled_digits() -> tuple[np.ndarray, np.ndarray]:
+    values = np.loadtxt(resources.files("signet") / "assets" / "digits.csv",
+                        delimiter=",", skiprows=1)
+    digits = values[:, :64], values[:, 64].astype(int)
+    for array in digits:
+        array.flags.writeable = False
+    return digits
 
 
 def make_binary_task(digits, digit_pos: int, digit_neg: int,
@@ -218,14 +173,3 @@ def save_dataset_csv(ds: Dataset, path) -> None:
     """Write a dataset as x0..x{d-1},y rows of 17-significant-digit floats."""
     write_csv(path, [f"x{j}" for j in range(ds.d)] + ["y"],
               np.column_stack([ds.inputs, ds.targets]).tolist())
-
-
-def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by save_dataset_csv; every cell must be a
-    finite number."""
-    path = Path(path)
-    values = _read_csv(path, "dataset", lambda h: h[-1:] == ["y"])
-    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
-    if bad.size:
-        raise DataError(f"{path}:{bad[0] + 2}: non-finite value")
-    return Dataset(values[:, :-1], values[:, -1])

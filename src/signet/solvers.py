@@ -169,6 +169,8 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
     if not (0 < lr < math.inf and math.isfinite(momentum) and iters >= 1):
         raise ValueError(f"invalid hyperparameters lr={lr}, momentum={momentum}, "
                          f"iters={iters}")
+    if isinstance(optimizers, str):
+        raise ValueError(f"optimizers takes a tuple of names, got {optimizers!r}")
     names = tuple(name.lower() for name in optimizers)
     if not names:
         raise ValueError("no optimizer given")

@@ -3,9 +3,11 @@ import hashlib
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,7 @@ import scipy
 
 import signet.data as data_mod
 from signet.cli import _setup, _solver_config, build_parser, main
-from signet.data import (load_dataset_csv, load_digits_csv, make_franke_datasets,
-                         split_dataset)
+from signet.data import load_digits_csv, make_franke_datasets
 from signet.diagnostics import max_error, rms_error
 from signet.losses import LossKind
 from signet.model import NetworkShape, init_params, predict
@@ -69,7 +70,7 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 6
+        assert summary["schema_version"] == 7
         assert summary["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -192,15 +193,6 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_train_frac_rejected(self, tmp_path, capsys, value):
-        out = tmp_path / "o"
-        rc = main(["run", "--task", "digits", "--loss", "hinge",
-                   "--train-frac", value, "--out", str(out)])
-        assert rc == 1
-        assert f"degenerate split: train fraction {value}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_momentum_rejected(self, tmp_path, capsys, value):
         # stopped before the fit, not by the first non-finite residual
         out = tmp_path / "o"
@@ -230,6 +222,18 @@ class TestRun:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--task", "digits", "--loss", "hinge", "--noise-sigma", "100"],
+         "--noise-sigma"),
+        (["run", "--task", "franke", "--normalize"], "--normalize"),
+    ], ids=["digits-noise-sigma", "franke-normalize"])
+    def test_flag_the_task_ignores_rejected(self, tmp_path, capsys, argv, flag):
+        # it would be echoed into summary.json with no effect on the run
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"{flag} applies to the" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_digits_hinge_smoke(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["run", "--task", "digits", "--loss", "hinge",
@@ -243,16 +247,16 @@ class TestRun:
         assert summary["metrics"]["test_size"] == 108
         assert isinstance(summary["metrics"]["test_errors"], int)
 
-    def test_digits_setup_parses_the_bundled_file_once(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data_mod, "_BUNDLED_DIGITS", [])    # not yet parsed
+    def test_digits_setup_parses_the_bundled_file_once(self, monkeypatch):
+        data_mod._bundled_digits.cache_clear()      # not yet parsed
         parsed = []
-        real_read = data_mod._read_csv
+        real_loadtxt = np.loadtxt
 
-        def recording_read(path, *args, **kwargs):
+        def recording_loadtxt(path, *args, **kwargs):
             parsed.append(path)
-            return real_read(path, *args, **kwargs)
+            return real_loadtxt(path, *args, **kwargs)
 
-        monkeypatch.setattr(data_mod, "_read_csv", recording_read)
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
         argv = ["run", "--task", "digits", "--loss", "hinge", "--q", "4"]
         for pair in ("0,1", "3,7"):
             _setup(build_parser().parse_args(argv + ["--pair", pair]))
@@ -261,13 +265,6 @@ class TestRun:
         pixels, labels = load_digits_csv()
         assert not pixels.flags.writeable and not labels.flags.writeable
         assert len(parsed) == 1
-        # a --data file is read on every call
-        export = tmp_path / "digits.csv"
-        export.write_bytes((resources.files("signet") / "assets" / "digits.csv")
-                           .read_bytes())
-        for _ in range(2):
-            _setup(build_parser().parse_args(argv + ["--data", str(export)]))
-        assert parsed[1:] == [export, export]
 
     def test_reproducible_reruns(self, tmp_path):
         args = ["run", "--task", "franke", "--q", "6", "--n-train", "30",
@@ -326,80 +323,6 @@ class TestRun:
         assert _read_summary(out)["iterations"] == 25
 
 
-class TestCustomCsv:
-    def test_run_from_gen_data_export(self, tmp_path):
-        data = tmp_path / "d"
-        assert main(["gen-data", "--task", "franke", "--n-train", "30",
-                     "--n-test", "5", "--out", str(data)]) == 0
-        out = tmp_path / "o"
-        rc = main(["run", "--task", "custom-csv", "--data", str(data / "train.csv"),
-                   "--solver", "glpa", "--q", "4", "--max-outer", "5",
-                   "--train-frac", "0.8", "--out", str(out)])
-        assert rc == 0
-        summary = _read_summary(out)
-        assert summary["config"]["task"] == "custom-csv"
-        assert summary["n_params"] == (2 + 2) * 4 + 1
-        assert np.isfinite(summary["final_objective"])
-        assert np.isfinite(summary["metrics"]["test_rms_error"])
-        assert len(_read_trace(out)) == summary["iterations"]
-
-    def _write_labelled_csv(self, path, rows=90):
-        rng = np.random.default_rng(5)
-        lines = ["x0,x1,y"] + [f"{a:.17g},{b:.17g},{y:g}" for a, b, y in zip(
-            rng.uniform(0, 1, rows), rng.uniform(0, 1, rows),
-            rng.choice([-1.0, 1.0], rows))]
-        path.write_text("\n".join(lines) + "\n")
-
-    def test_split_size_matches_digits_rule(self, tmp_path):
-        # floor(0.7 * 90) is 63; 0.7 * 90 evaluates to 62.99999999999999
-        data = tmp_path / "labelled.csv"
-        self._write_labelled_csv(data)
-        out = tmp_path / "o"
-        rc = main(["run", "--task", "custom-csv", "--data", str(data),
-                   "--loss", "hinge", "--solver", "glpa", "--q", "2",
-                   "--max-outer", "2", "--admm-max-iters", "2", "--out", str(out)])
-        assert rc == 0
-        metrics = _read_summary(out)["metrics"]
-        assert (metrics["training_size"], metrics["test_size"]) == (63, 27)
-
-    def test_degenerate_split_fails(self, tmp_path, capsys):
-        data = tmp_path / "labelled.csv"
-        self._write_labelled_csv(data)
-        rc = main(["run", "--task", "custom-csv", "--data", str(data),
-                   "--loss", "hinge", "--train-frac", "1.0",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "degenerate split" in capsys.readouterr().err
-
-    def test_hinge_label_in_test_split_fails(self, tmp_path, capsys):
-        # every target of a hinge run is checked, the held-out ones too
-        data = tmp_path / "labelled.csv"
-        self._write_labelled_csv(data)
-        full = load_dataset_csv(data)
-        _, test = split_dataset(full, 0.7, 0)
-        row = int(np.flatnonzero(np.all(full.inputs == test.inputs[0], axis=1))[0])
-        lines = data.read_text().splitlines()
-        lines[row + 1] = lines[row + 1].rsplit(",", 1)[0] + ",0.5"
-        data.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "o"
-        rc = main(["run", "--task", "custom-csv", "--data", str(data),
-                   "--loss", "hinge", "--solver", "glpa", "--q", "2",
-                   "--max-outer", "2", "--admm-max-iters", "2", "--out", str(out)])
-        assert rc == 1
-        assert ("hinge loss needs a binary classification task"
-                in capsys.readouterr().err)
-        assert not out.exists()
-
-    def test_non_finite_cell_fails(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("x0,x1,y\n0.1,0.2,0.3\n0.4,nan,0.6\n0.7,0.8,0.9\n")
-        rc = main(["run", "--task", "custom-csv", "--data", str(bad),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "bad.csv:3: non-finite" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-
 class TestGenData:
     def test_franke_csv_files(self, tmp_path):
         out = tmp_path / "d"
@@ -452,6 +375,24 @@ class TestGenData:
                    "--out", str(tmp_path / "d")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _readme_cli_commands() -> list:
+    """The `signet ...` commands of the README's CLI block, each one line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"CLI \(installed as `signet`\):\n\n```bash\n(.*?)```",
+                      readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("signet ")]
+
+
+def test_readme_cli_commands_parse():
+    # the documented commands name no removed flag or task; none is run
+    commands = _readme_cli_commands()
+    assert [argv[0] for argv in commands] == ["run", "run", "compare", "gen-data"]
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -531,7 +472,7 @@ class TestCompare:
         assert set(summary["final_objectives"]) == {"glpa", "sgdm",
                                                     "rmsprop", "adam"}
         assert all(np.isfinite(v) for v in summary["final_objectives"].values())
-        assert summary["schema_version"] == 6
+        assert summary["schema_version"] == 7
         assert (summary["environment"]["blas_threads"]
                 == os.environ["OPENBLAS_NUM_THREADS"])
         assert summary["environment"]["cpu_count"] == os.cpu_count()

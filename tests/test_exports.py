@@ -6,8 +6,9 @@ importable from that module, not from `signet`; a product used only by
 the tests belongs to the tests' dense-Jacobian oracles. The experiment
 scripts use no private (`_`-prefixed) name of a signet module, and no
 library module, script or test file imports a name it never uses. One
-function, `data.write_csv`, writes every CSV file. The declared numpy floor
-covers the numpy API the package uses."""
+function, `data.write_csv`, writes every CSV file, and the package reads
+one, its bundled digits file. The declared numpy floor covers the numpy API
+the package uses."""
 
 import ast
 import importlib
@@ -113,9 +114,13 @@ def test_no_unused_imports():
     assert [entry for path in files for entry in _unused_imports(path)] == []
 
 
-def _csv_writer_calls(path: Path) -> list:
-    """(file, enclosing function) of each call of a CSV writer in a file:
-    csv.writer, csv.DictWriter or numpy's savetxt, however imported."""
+CSV_WRITERS = ("writer", "DictWriter", "savetxt")
+CSV_READERS = ("reader", "DictReader", "loadtxt", "genfromtxt")
+
+
+def _csv_calls(path: Path, names: tuple) -> list:
+    """(file, enclosing function) of each call in a file of a csv-module or
+    numpy function named in names, however imported."""
     found = []
 
     def visit(node, function):
@@ -125,7 +130,7 @@ def _csv_writer_calls(path: Path) -> list:
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(
                 func, "id", None)
-            if name in ("writer", "DictWriter", "savetxt"):
+            if name in names:
                 found.append((path.name, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -135,11 +140,14 @@ def _csv_writer_calls(path: Path) -> list:
 
 
 def test_one_csv_writer():
-    # datasets and result files share one format: a second writer would
-    # have to copy its number format and line ends by hand
-    calls = [call for path in sorted((ROOT / "src" / "signet").glob("*.py"))
-             for call in _csv_writer_calls(path)]
-    assert calls == [("data.py", "write_csv")]
+    # One reader and one writer. Datasets and result files share one
+    # format: a second writer would have to copy its number format and line
+    # ends by hand. The one file signet reads is the one it ships.
+    files = sorted((ROOT / "src" / "signet").glob("*.py"))
+    calls = {kind: [call for path in files for call in _csv_calls(path, names)]
+             for kind, names in (("writer", CSV_WRITERS), ("reader", CSV_READERS))}
+    assert calls == {"writer": [("data.py", "write_csv")],
+                     "reader": [("data.py", "_bundled_digits")]}
 
 
 def test_declared_numpy_floor_has_the_api_used():
