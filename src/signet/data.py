@@ -15,10 +15,6 @@ from pathlib import Path
 import numpy as np
 
 
-class DataError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Dataset:
     inputs: np.ndarray      # (m, d)
@@ -26,10 +22,10 @@ class Dataset:
 
     def __post_init__(self):
         if self.inputs.ndim != 2 or self.targets.shape != (self.inputs.shape[0],):
-            raise DataError(f"inconsistent dataset shapes {self.inputs.shape} "
-                            f"vs {self.targets.shape}")
+            raise ValueError(f"inconsistent dataset shapes {self.inputs.shape} "
+                             f"vs {self.targets.shape}")
         if self.inputs.shape[0] < 1:
-            raise DataError("empty dataset")
+            raise ValueError("empty dataset")
 
     @property
     def m(self) -> int:
@@ -49,8 +45,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not 0 < self.sigma_tilde < math.inf:
-            raise DataError(f"sigma_tilde must be positive and finite, "
-                            f"got {self.sigma_tilde}")
+            raise ValueError(f"sigma_tilde must be positive and finite, "
+                             f"got {self.sigma_tilde}")
 
     @property
     def amplitude(self) -> float:
@@ -61,15 +57,13 @@ class NoiseSpec:
         return self.amplitude * rng.uniform(0.0, 1.0, size=count)
 
 
-def halton_points(start: int, count: int) -> np.ndarray:
-    """count consecutive Halton points in bases 2 and 3 from index start >= 1:
+def halton_points(count: int) -> np.ndarray:
+    """The first count Halton points in bases 2 and 3, indices 1..count:
     per base, the radical inverse of every index, its digits added from the
     least significant one up."""
-    if start < 1:
-        raise DataError(f"Halton index must be >= 1, got {start}")
     points = np.zeros((count, 2))
     for col, base in enumerate((2, 3)):
-        i = np.arange(start, start + count)
+        i = np.arange(1, count + 1)
         f = 1.0 / base
         while np.any(i > 0):
             points[:, col] += f * (i % base)
@@ -82,27 +76,24 @@ def franke(x1, x2):
     """Two-peaks-and-a-trough scattered-data test surface on the unit square."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    g = (0.75 * np.exp(-0.25 * ((9 * x1 - 2) ** 2 + (9 * x2 - 2) ** 2))
-         + 0.75 * np.exp(-(9 * x1 + 1) ** 2 / 49.0 - (9 * x2 + 1) ** 2 / 10.0)
-         + 0.5 * np.exp(-0.25 * ((9 * x1 - 7) ** 2 + (9 * x2 - 3) ** 2))
-         - 0.2 * np.exp(-(9 * x1 - 4) ** 2 - (9 * x2 - 7) ** 2))
-    return g if g.ndim else float(g)
+    return (0.75 * np.exp(-0.25 * ((9 * x1 - 2) ** 2 + (9 * x2 - 2) ** 2))
+            + 0.75 * np.exp(-(9 * x1 + 1) ** 2 / 49.0 - (9 * x2 + 1) ** 2 / 10.0)
+            + 0.5 * np.exp(-0.25 * ((9 * x1 - 7) ** 2 + (9 * x2 - 3) ** 2))
+            - 0.2 * np.exp(-(9 * x1 - 4) ** 2 - (9 * x2 - 7) ** 2))
 
 
 def make_franke_datasets(n_train: int = 289, n_test: int = 121,
                          noise: NoiseSpec | None = None) -> tuple[Dataset, Dataset]:
-    """Train/test sets from consecutive 2-D Halton points (bases 2 and 3),
-    targets from Franke's surface; optional positive noise on training
-    targets only."""
+    """Train/test sets from one run of 2-D Halton points (bases 2 and 3),
+    the test points continuing the training ones, targets from Franke's
+    surface; optional positive noise on training targets only."""
     if n_train < 1 or n_test < 1:
-        raise DataError("dataset sizes must be >= 1")
-    X_train = halton_points(1, n_train)
-    X_test = halton_points(n_train + 1, n_test)
-    y_train = franke(X_train[:, 0], X_train[:, 1])
-    y_test = franke(X_test[:, 0], X_test[:, 1])
+        raise ValueError("dataset sizes must be >= 1")
+    X = halton_points(n_train + n_test)
+    y = franke(X[:, 0], X[:, 1])
     if noise is not None:
-        y_train = y_train + noise.sample(n_train)
-    return Dataset(X_train, y_train), Dataset(X_test, y_test)
+        y[:n_train] += noise.sample(n_train)
+    return Dataset(X[:n_train], y[:n_train]), Dataset(X[n_train:], y[n_train:])
 
 
 def load_digits_csv() -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +121,10 @@ def make_binary_task(digits, digit_pos: int, digit_neg: int,
     by split_dataset. The normalize flag divides pixels by 16."""
     pixels, labels = digits
     if digit_pos == digit_neg:
-        raise DataError("the two digits must differ")
+        raise ValueError("the two digits must differ")
     for digit in (digit_pos, digit_neg):
         if not np.any(labels == digit):
-            raise DataError(f"digit {digit} absent from the labels")
+            raise ValueError(f"digit {digit} absent from the labels")
     keep = (labels == digit_pos) | (labels == digit_neg)
     X = pixels[keep] / 16.0 if normalize else pixels[keep]
     full = Dataset(X, np.where(labels[keep] == digit_pos, 1.0, -1.0))
@@ -145,12 +136,12 @@ def split_dataset(ds: Dataset, train_fraction: float,
     """Seeded shuffle of the rows, then floor(train_fraction * m) of them
     for training and the rest for testing; both parts must be non-empty."""
     if not math.isfinite(train_fraction):
-        raise DataError(f"degenerate split: train fraction {train_fraction}")
+        raise ValueError(f"degenerate split: train fraction {train_fraction}")
     perm = np.random.default_rng(seed).permutation(ds.m)
     # tiny epsilon keeps e.g. 0.7*360 from flooring to 251
     n_train = int(math.floor(train_fraction * ds.m + 1e-9))
     if n_train < 1 or n_train >= ds.m:
-        raise DataError(f"degenerate split: {n_train} of {ds.m}")
+        raise ValueError(f"degenerate split: {n_train} of {ds.m}")
     X, y = ds.inputs[perm], ds.targets[perm]
     return Dataset(X[:n_train], y[:n_train]), Dataset(X[n_train:], y[n_train:])
 

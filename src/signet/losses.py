@@ -57,20 +57,15 @@ def prox(a, kappa: float, loss: LossKind):
     """Scalar proximity operator argmin_mu kappa*L(mu) + (mu-a)^2/2.
 
     Absolute loss: soft thresholding. Hinge loss: a shifted clamp toward
-    the margin 1. Accepts scalars or arrays elementwise. Boundary ties go
-    to the middle branch.
+    the margin 1. Accepts scalars or arrays and acts elementwise. Boundary
+    ties go to the middle branch.
     """
     if not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    a = np.asarray(a, dtype=float)
     if loss is LossKind.ABSOLUTE:
-        a_arr = np.asarray(a, dtype=float)
-        out = np.sign(a_arr) * np.maximum(np.abs(a_arr) - kappa, 0.0)
-    elif loss is LossKind.HINGE:
-        a_arr = np.asarray(a, dtype=float)
-        out = np.where(a_arr > 1.0, a_arr,
-                       np.where(a_arr >= 1.0 - kappa, 1.0, a_arr + kappa))
-    else:
-        raise ValueError(f"prox not defined for {loss!r} (quadratic subproblems "
-                         "use the closed-form regularized least-squares step)")
-    return out if out.ndim else float(out)
-
+        return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
+    if loss is LossKind.HINGE:
+        return np.where(a > 1.0, a, np.where(a >= 1.0 - kappa, 1.0, a + kappa))
+    raise ValueError(f"prox not defined for {loss!r} (quadratic subproblems "
+                     "use the closed-form regularized least-squares step)")

@@ -20,10 +20,6 @@ from scipy.linalg.blas import dsyrk
 from .losses import LossKind
 
 
-class DimensionError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class NetworkShape:
     """Dimensions of the network: d inputs, q hidden neurons."""
@@ -33,7 +29,7 @@ class NetworkShape:
 
     def __post_init__(self):
         if self.d < 1 or self.q < 1:
-            raise DimensionError(f"d and q must be >= 1, got d={self.d}, q={self.q}")
+            raise ValueError(f"d and q must be >= 1, got d={self.d}, q={self.q}")
 
     @property
     def n(self) -> int:
@@ -129,7 +125,7 @@ def sigmoid(a):
     a = np.asarray(a, dtype=float)
     out = np.exp(np.minimum(a, 0.0))
     out /= 1.0 + np.exp(-np.abs(a))
-    return out if out.ndim else float(out)
+    return out
 
 
 def split_params(theta: np.ndarray, shape: NetworkShape):
@@ -137,7 +133,7 @@ def split_params(theta: np.ndarray, shape: NetworkShape):
     (q, d); for (P, n) stacked vectors, each part gains the leading P."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim not in (1, 2) or theta.shape[-1] != shape.n:
-        raise DimensionError(
+        raise ValueError(
             f"theta has shape {theta.shape}, expected ({shape.n},) or (P, {shape.n})")
     q, d = shape.q, shape.d
     w = theta[..., :q]
@@ -167,7 +163,7 @@ def _hidden(theta, shape: NetworkShape, X):
     the network outputs S w + w0."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != shape.d:
-        raise DimensionError(f"inputs have shape {X.shape}, expected (m, {shape.d})")
+        raise ValueError(f"inputs have shape {X.shape}, expected (m, {shape.d})")
     w, V, u, w0 = split_params(theta, shape)
     S = sigmoid(X @ V.mT + u[..., None, :])
     return (X, w, S), (S @ w[..., None])[..., 0] + w0[..., None]
@@ -201,7 +197,7 @@ def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
     targets = np.asarray(targets, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
     if targets.shape != (inputs.shape[0],):
-        raise DimensionError(
+        raise ValueError(
             f"targets have shape {targets.shape}, expected ({inputs.shape[0]},)")
     hinge = loss is LossKind.HINGE
     if hinge and not np.all(np.abs(targets) == 1.0):

@@ -171,7 +171,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
                          f"iters={iters}")
     if isinstance(optimizers, str):
         raise ValueError(f"optimizers takes a tuple of names, got {optimizers!r}")
-    names = tuple(name.lower() for name in optimizers)
+    names = tuple(optimizers)
     if not names:
         raise ValueError("no optimizer given")
     for name in names:

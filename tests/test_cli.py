@@ -226,7 +226,14 @@ class TestRun:
         (["run", "--task", "digits", "--loss", "hinge", "--noise-sigma", "100"],
          "--noise-sigma"),
         (["run", "--task", "franke", "--normalize"], "--normalize"),
-    ], ids=["digits-noise-sigma", "franke-normalize"])
+        (["run", "--task", "franke", "--pair", "3,7"], "--pair"),
+        (["run", "--task", "digits", "--loss", "hinge", "--n-train", "50"],
+         "--n-train"),
+        (["run", "--task", "digits", "--loss", "hinge", "--n-test", "5"],
+         "--n-test"),
+        (["gen-data", "--task", "digits", "--n-test", "5"], "--n-test"),
+    ], ids=["digits-noise-sigma", "franke-normalize", "franke-pair",
+            "digits-n-train", "digits-n-test", "gen-data-digits-n-test"])
     def test_flag_the_task_ignores_rejected(self, tmp_path, capsys, argv, flag):
         # it would be echoed into summary.json with no effect on the run
         out = tmp_path / "o"

@@ -7,10 +7,12 @@ the tests belongs to the tests' dense-Jacobian oracles. The experiment
 scripts use no private (`_`-prefixed) name of a signet module, and no
 library module, script or test file imports a name it never uses. One
 function, `data.write_csv`, writes every CSV file, and the package reads
-one, its bundled digits file. The declared numpy floor covers the numpy API
-the package uses."""
+one, its bundled digits file. The package defines no exception class: bad
+input raises the built-in errors, which is all a caller catches. The
+declared numpy floor covers the numpy API the package uses."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import re
@@ -148,6 +150,26 @@ def test_one_csv_writer():
              for kind, names in (("writer", CSV_WRITERS), ("reader", CSV_READERS))}
     assert calls == {"writer": [("data.py", "write_csv")],
                      "reader": [("data.py", "_bundled_digits")]}
+
+
+def _is_exception_name(name: str) -> bool:
+    builtin = getattr(builtins, name, None)
+    return ((isinstance(builtin, type) and issubclass(builtin, BaseException))
+            or name.endswith(("Error", "Exception", "Warning")))
+
+
+def test_no_exception_classes():
+    # the CLI catches ValueError; a subclass of it would be a public name
+    # that no caller catches
+    found = []
+    for path in sorted((ROOT / "src" / "signet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    _is_exception_name(base.attr if isinstance(base, ast.Attribute)
+                                       else getattr(base, "id", ""))
+                    for base in node.bases):
+                found.append(f"{path.name}: {node.name}")
+    assert found == []
 
 
 def test_declared_numpy_floor_has_the_api_used():

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signet.losses import LossKind, outer_gradient
-from signet.model import (DimensionError, NetworkShape, init_params, inner_eval,
-                          predict, sigmoid, split_params)
+from signet.model import (NetworkShape, init_params, inner_eval, predict, sigmoid,
+                          split_params)
 
 from conftest import finite_diff_jacobian, pack_params, random_instance
 
@@ -99,14 +101,17 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         shape = NetworkShape(d=2, q=1)
-        with pytest.raises(DimensionError):
-            predict(np.zeros(shape.n), shape, np.zeros((1, 3)))
-        with pytest.raises(DimensionError):
-            predict(np.zeros(shape.n), shape, np.zeros(2))
-        with pytest.raises(DimensionError):
-            predict(np.zeros(shape.n + 1), shape, np.zeros((1, 2)))
-        with pytest.raises(DimensionError):
-            predict(np.zeros((1, 1, shape.n)), shape, np.zeros((1, 2)))
+        for theta, X, message in [
+                (np.zeros(shape.n), np.zeros((1, 3)),
+                 "inputs have shape (1, 3), expected (m, 2)"),
+                (np.zeros(shape.n), np.zeros(2),
+                 "inputs have shape (2,), expected (m, 2)"),
+                (np.zeros(shape.n + 1), np.zeros((1, 2)),
+                 "theta has shape (6,), expected (5,) or (P, 5)"),
+                (np.zeros((1, 1, shape.n)), np.zeros((1, 2)),
+                 "theta has shape (1, 1, 5), expected (5,) or (P, 5)")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                predict(theta, shape, X)
 
     def test_neuron_permutation_invariance(self, rng):
         shape = NetworkShape(d=2, q=5)
@@ -263,7 +268,7 @@ def test_structured_products_match_dense_jacobian(m, d, q, loss, seed):
 def test_shape_invariant():
     shape = NetworkShape(d=4, q=3)
     assert shape.n == (4 + 2) * 3 + 1
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="d and q must be >= 1, got d=0, q=3"):
         NetworkShape(d=0, q=3)
 
 

@@ -503,6 +503,9 @@ class TestBaselines:
         with pytest.raises(ValueError, match="'newton'"):
             baseline_fit(X, y, shape, LossKind.QUADRATIC, ("adam", "newton"),
                          np.zeros(shape.n))
+        # names are matched exactly, as BASELINES spells them
+        with pytest.raises(ValueError, match="unknown optimizer 'SGDM'"):
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("SGDM",), np.zeros(shape.n))
         # a bare string is not read as a sequence of one-letter names
         with pytest.raises(ValueError, match="a tuple of names, got 'adam'"):
             baseline_fit(X, y, shape, LossKind.QUADRATIC, "adam", np.zeros(shape.n))
