@@ -2,7 +2,8 @@
 summary files, and optimizer comparisons.
 
 Subcommands:
-  run       train one model, write trace.csv / summary.json / model.csv
+  run       fit one model with LPA or GLPA, write trace.csv / summary.json /
+            model.csv
   gen-data  materialize a dataset as CSV files
   compare   run GLPA against SGDM, RMSProp, Adam on the same task and seed
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import os
 import platform
@@ -31,13 +33,16 @@ from .solvers import (BASELINES, FitReport, IterationRecord, SolverConfig,
                       baseline_fit, glpa_fit, lpa_fit)
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
-# the flags one task alone reads, each with that task and its default; any
-# other value given with the other task would be echoed into summary.json
-# with no effect on the run
-_TASK_FLAGS = {"n_train": ("franke", 289), "n_test": ("franke", 121),
+# the flags one task alone reads, each with that task and its default (the
+# Franke split sizes are make_franke_datasets's own); any other value given
+# with the other task would be echoed into summary.json with no effect on
+# the run
+_FRANKE_SIZES = inspect.signature(data_mod.make_franke_datasets).parameters
+_TASK_FLAGS = {"n_train": ("franke", _FRANKE_SIZES["n_train"].default),
+               "n_test": ("franke", _FRANKE_SIZES["n_test"].default),
                "noise_sigma": ("franke", None), "pair": ("digits", "0,1"),
                "normalize": ("digits", False)}
 
@@ -69,10 +74,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="ADMM residual tolerance, relative to the step's size")
     p.add_argument("--admm-max-iters", type=int, default=AdmmConfig.max_iters)
     p.add_argument("--init", choices=["uniform", "wide"], default="uniform")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--iters", type=int, default=1000,
-                   help="iteration count for the first-order baselines")
 
 
 # parsing leaves the parser unchanged, so one serves every call of a
@@ -92,10 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_run, p_cmp):
         _add_data_flags(p)
         _add_solver_flags(p)
-    p_run.add_argument("--solver", choices=["lpa", "glpa", *BASELINES],
-                       default="lpa")
+    p_run.add_argument("--solver", choices=["lpa", "glpa"], default="lpa")
     p_run.add_argument("--save-model", action="store_true",
                        help="also write model.csv with the final parameters")
+    p_cmp.add_argument("--lr", type=float, default=1e-3)
+    p_cmp.add_argument("--momentum", type=float, default=0.9)
+    p_cmp.add_argument("--iters", type=int, default=1000,
+                       help="iteration count for the first-order baselines")
     return parser
 
 
@@ -142,20 +146,6 @@ def _solver_config(args) -> SolverConfig:
                                         max_iters=args.admm_max_iters))
 
 
-def _fit(args, solver, train, shape, loss, theta0) -> FitReport:
-    if solver in ("lpa", "glpa"):
-        fit = lpa_fit if solver == "lpa" else glpa_fit
-        return fit(train.inputs, train.targets, shape, loss, _solver_config(args),
-                   theta0)
-    return _baseline_fits(args, (solver,), train, shape, loss, theta0)[0]
-
-
-def _baseline_fits(args, names, train, shape, loss, theta0) -> list[FitReport]:
-    # the baselines take no solver config, so its checks must not stop their runs
-    return baseline_fit(train.inputs, train.targets, shape, loss, names, theta0,
-                        lr=args.lr, momentum=args.momentum, iters=args.iters)
-
-
 def _write_json(path: Path, args, fields: dict):
     """A result summary: the schema version, the command's flags, the
     environment, then fields. Makes the file's directory."""
@@ -200,7 +190,9 @@ def run_summary(args) -> tuple[FitReport, dict]:
     the fields summary.json records after its config and environment."""
     loss, train, test, shape, theta0 = _setup(args)
     started = time.perf_counter()
-    report = _fit(args, args.solver, train, shape, loss, theta0)
+    fit = lpa_fit if args.solver == "lpa" else glpa_fit
+    report = fit(train.inputs, train.targets, shape, loss, _solver_config(args),
+                 theta0)
     elapsed = time.perf_counter() - started
     rank, full_row_rank = diagnostics.jacobian_rank(inner_eval(
         report.theta_star, shape, train.inputs, train.targets, loss).jacobian())
@@ -247,12 +239,16 @@ def cmd_gen_data(args) -> int:
 
 def cmd_compare(args) -> int:
     loss, train, _, shape, theta0 = _setup(args)
+    cfg = _solver_config(args)
+    # the baselines run before GLPA, so that a bad --lr, --momentum or
+    # --iters fails before any fit; GLPA is still written first
+    baselines = baseline_fit(train.inputs, train.targets, shape, loss, theta0,
+                             lr=args.lr, momentum=args.momentum, iters=args.iters)
+    glpa = glpa_fit(train.inputs, train.targets, shape, loss, cfg, theta0)
     out = Path(args.out)
     rows = []
     finals = {}
-    reports = [_fit(args, "glpa", train, shape, loss, theta0),
-               *_baseline_fits(args, BASELINES, train, shape, loss, theta0)]
-    for name, report in zip(("glpa", *BASELINES), reports):
+    for name, report in zip(("glpa", *BASELINES), (glpa, *baselines)):
         rows.extend((name, rec.k, rec.objective) for rec in report.trace)
         finals[name] = report.final_objective
     data_mod.write_csv(out / "compare.csv", ["solver", "k", "objective"], rows)

@@ -96,15 +96,11 @@ def make_franke_datasets(n_train: int = 289, n_test: int = 121,
     return Dataset(X[:n_train], y[:n_train]), Dataset(X[n_train:], y[n_train:])
 
 
+@functools.cache
 def load_digits_csv() -> tuple[np.ndarray, np.ndarray]:
     """The bundled digits file (header p0..p63,label) as pixels (N, 64) and
     integer labels (N,). It is parsed on the first call only, and every call
     shares its arrays, which are read-only."""
-    return _bundled_digits()
-
-
-@functools.cache
-def _bundled_digits() -> tuple[np.ndarray, np.ndarray]:
     values = np.loadtxt(resources.files("signet") / "assets" / "digits.csv",
                         delimiter=",", skiprows=1)
     digits = values[:, :64], values[:, 64].astype(int)

@@ -19,7 +19,7 @@ from .subsolvers import AdmmConfig, admm_solve, lm_step
 
 # line search: sufficient-decrease fraction, step shrink factor, trial cap
 C, TAU, MAX_BACKTRACKS = 1e-3, 0.5, 10
-# the first-order optimizers baseline_fit runs
+# the first-order optimizers baseline_fit runs, in its reports' order
 BASELINES = ("sgdm", "rmsprop", "adam")
 
 
@@ -154,41 +154,33 @@ def glpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitRepo
     return _fit(inputs, targets, shape, loss, cfg, theta0, line_search=True)
 
 
-def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
-                 optimizers, theta0, lr: float = 1e-3, momentum: float = 0.9,
+def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind, theta0,
+                 lr: float = 1e-3, momentum: float = 0.9,
                  iters: int = 1000) -> list[FitReport]:
     """Full-batch SGDM / RMSProp / Adam on the training objective, using the
     analytic (sub)gradient J^T outer_gradient(F), formed without building J.
     Deterministic: no minibatch sampling.
 
-    Runs the named optimizers in lockstep from the same theta0, one report
-    per name, in order: each iteration evaluates the stacked iterates in one
-    hidden-layer pass and one J^T r, then updates each iterate as if it ran
-    alone, bit for bit. The rows of one iteration share one `elapsed_s`
-    clock."""
+    Runs the BASELINES in lockstep from the same theta0 and returns their
+    reports in BASELINES order: each iteration evaluates the stacked
+    iterates in one hidden-layer pass and one J^T r, then updates each
+    iterate as if it ran alone, bit for bit. The rows of one iteration share
+    one `elapsed_s` clock."""
     if not (0 < lr < math.inf and math.isfinite(momentum) and iters >= 1):
         raise ValueError(f"invalid hyperparameters lr={lr}, momentum={momentum}, "
                          f"iters={iters}")
-    if isinstance(optimizers, str):
-        raise ValueError(f"optimizers takes a tuple of names, got {optimizers!r}")
-    names = tuple(optimizers)
-    if not names:
-        raise ValueError("no optimizer given")
-    for name in names:
-        if name not in BASELINES:
-            raise ValueError(f"unknown optimizer {name!r}")
     inputs, targets, theta0 = _fit_arrays(inputs, targets, theta0, shape)
 
-    thetas = np.tile(theta0, (len(names), 1))
-    vel, sq, mom1 = ([np.zeros(shape.n) for _ in names] for _ in range(3))
+    thetas = np.tile(theta0, (len(BASELINES), 1))
+    vel, sq, mom1 = ([np.zeros(shape.n) for _ in BASELINES] for _ in range(3))
     eps = 1e-8
-    traces: list[list[IterationRecord]] = [[] for _ in names]
+    traces: list[list[IterationRecord]] = [[] for _ in BASELINES]
     start = time.perf_counter()
     for k in range(iters):
         ev = inner_eval(thetas, shape, inputs, targets, loss)
         grads = ev.jtr(outer_gradient(ev.F, loss))
         rows = []
-        for p, name in enumerate(names):
+        for p, name in enumerate(BASELINES):
             g = grads[p]
             if name == "sgdm":
                 vel[p] = momentum * vel[p] + g
@@ -214,4 +206,4 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind,
     F = inner_eval(thetas, shape, inputs, targets, loss).F
     return [FitReport(theta_star=thetas[p], trace=traces[p], stop_reason="max_outer",
                       final_objective=outer_value(F[p], loss))
-            for p in range(len(names))]
+            for p in range(len(BASELINES))]

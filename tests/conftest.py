@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from signet.diagnostics import adaptive_network_size
-from signet.losses import LossKind, outer_value
+from signet.losses import LossKind, outer_gradient, outer_value
 from signet.model import NetworkShape, init_params, inner_eval, predict
 
 
@@ -98,6 +98,37 @@ def subproblem_model_value(ev, dtheta, t, loss) -> float:
     if dtheta.shape != (J.shape[1],):
         raise ValueError(f"dtheta has shape {dtheta.shape}, expected ({J.shape[1]},)")
     return outer_value(ev.F + J @ dtheta, loss) + float(dtheta @ dtheta) / (2.0 * t)
+
+
+def reference_baseline(name, inputs, targets, shape, loss, theta0, lr, momentum,
+                       iters):
+    """The first-order baseline `name` run alone, one single-theta
+    evaluation and one update per iteration: the oracle for its report from
+    signet.solvers.baseline_fit, which runs the three in lockstep. Returns
+    (theta, rows, final objective), a row (k, objective, step norm)."""
+    theta = np.array(theta0, dtype=float)
+    vel, sq, mom1 = (np.zeros(shape.n) for _ in range(3))
+    rows = []
+    for k in range(iters):
+        ev = inner_eval(theta, shape, inputs, targets, loss)
+        g = ev.jtr(outer_gradient(ev.F, loss))
+        if name == "sgdm":
+            vel = momentum * vel + g
+            step = -lr * vel
+        elif name == "rmsprop":
+            sq = 0.99 * sq + 0.01 * g * g
+            vel = momentum * vel + g / (np.sqrt(sq) + 1e-8)
+            step = -lr * vel
+        else:
+            assert name == "adam", name
+            mom1 = 0.9 * mom1 + 0.1 * g
+            sq = 0.999 * sq + 0.001 * g * g
+            step = (-lr * (mom1 / (1.0 - 0.9 ** (k + 1)))
+                    / (np.sqrt(sq / (1.0 - 0.999 ** (k + 1))) + 1e-8))
+        theta = theta + step
+        rows.append((k, outer_value(ev.F, loss), float(np.linalg.norm(step))))
+    final = outer_value(inner_eval(theta, shape, inputs, targets, loss).F, loss)
+    return theta, rows, final
 
 
 def finite_diff_jacobian(theta, shape, inputs, targets, loss, h=1e-5):

@@ -18,7 +18,7 @@ from signet.diagnostics import (adaptive_network_size, classification_errors,
                                 rms_error)
 from signet.losses import LossKind, prox
 from signet.model import NetworkShape, init_params, inner_eval, predict
-from signet.solvers import SolverConfig, baseline_fit, glpa_fit, lpa_fit
+from signet.solvers import BASELINES, SolverConfig, baseline_fit, glpa_fit, lpa_fit
 from signet.subsolvers import AdmmConfig, admm_solve, lm_step
 
 from conftest import (DenseEval, finite_diff_jacobian, random_instance,
@@ -130,10 +130,9 @@ def test_criterion_4_optimizer_comparison(digits):
     rep = glpa_fit(train.inputs, train.targets, shape, LossKind.HINGE,
                    cfg, theta0)
     assert len(rep.trace) <= 100
-    names = ("sgdm", "adam", "rmsprop")
     bases = baseline_fit(train.inputs, train.targets, shape, LossKind.HINGE,
-                         names, theta0, lr=1e-3, momentum=0.9, iters=1000)
-    for name, base in zip(names, bases):
+                         theta0, lr=1e-3, momentum=0.9, iters=1000)
+    for name, base in zip(BASELINES, bases):
         if base.final_objective == 0.0:
             # The hinge loss is never negative, so a baseline that reached
             # exactly 0.0 (RMSProp does on this separable pair) can be

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 import scipy
 
-import signet.data as data_mod
+import signet.cli as cli_mod
+import signet.solvers as solvers_mod
 from signet.cli import _setup, _solver_config, build_parser, main
 from signet.data import load_digits_csv, make_franke_datasets
 from signet.diagnostics import max_error, rms_error
@@ -51,14 +52,23 @@ class TestParser:
         args = build_parser().parse_args(["run", "--task", "franke"])
         assert _solver_config(args) == SolverConfig()
 
-    # the line-search constants and the zero start are not settable
+    # the line-search constants and the zero start are not settable, and
+    # the first-order baselines and their flags belong to compare
     @pytest.mark.parametrize("flag", [
         ["--solver", "newton"], ["--c", "0.1"], ["--tau", "0.5"],
         ["--max-backtracks", "5"], ["--init", "zero"],
-    ], ids=["solver", "c", "tau", "max-backtracks", "init-zero"])
+        ["--solver", "sgdm"], ["--solver", "rmsprop"], ["--solver", "adam"],
+        ["--lr", "0.1"], ["--momentum", "0"], ["--iters", "5"],
+    ], ids=["solver", "c", "tau", "max-backtracks", "init-zero", "solver-sgdm",
+            "solver-rmsprop", "solver-adam", "lr", "momentum", "iters"])
     def test_unknown_solver_rejected(self, flag):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--task", "franke", *flag])
+
+    def test_franke_split_defaults_are_the_dataset_defaults(self):
+        args = build_parser().parse_args(["run", "--task", "franke"])
+        train, test = make_franke_datasets()
+        assert (args.n_train, args.n_test) == (train.m, test.m)
 
 
 class TestRun:
@@ -70,7 +80,7 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 7
+        assert summary["schema_version"] == 8
         assert summary["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -192,18 +202,6 @@ class TestRun:
         assert "classification tasks use the hinge loss" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_momentum_rejected(self, tmp_path, capsys, value):
-        # stopped before the fit, not by the first non-finite residual
-        out = tmp_path / "o"
-        rc = main(["run", "--task", "franke", "--solver", "sgdm",
-                   "--momentum", value, "--q", "4", "--n-train", "20",
-                   "--n-test", "5", "--iters", "5", "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "invalid hyperparameters" in err and f"momentum={value}" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("argv", [
         ["run", "--task", "franke"], ["compare", "--task", "franke"],
         ["gen-data", "--task", "digits"],
@@ -255,7 +253,7 @@ class TestRun:
         assert isinstance(summary["metrics"]["test_errors"], int)
 
     def test_digits_setup_parses_the_bundled_file_once(self, monkeypatch):
-        data_mod._bundled_digits.cache_clear()      # not yet parsed
+        load_digits_csv.cache_clear()      # not yet parsed
         parsed = []
         real_loadtxt = np.loadtxt
 
@@ -287,19 +285,10 @@ class TestRun:
         tb = [(r["k"], r["objective"], r["step_norm"]) for r in _read_trace(b)]
         assert ta == tb
 
-    def test_solver_config_checked_only_for_lpa_and_glpa(self, tmp_path, capsys):
-        # the baselines take no solver config, so a bad --t does not stop them
-        argv = ["run", "--task", "franke", "--t", "-1", "--q", "4", "--n-train",
-                "20", "--n-test", "5", "--iters", "5", "--out", str(tmp_path / "o")]
-        assert main(argv + ["--solver", "adam"]) == 0
-        assert main(argv + ["--solver", "glpa"]) == 1
-        assert "invalid solver config" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, argv", [
         ("t", ["--solver", "glpa", "--loss", "quadratic", "--max-outer", "5"]),
         ("rho", ["--solver", "glpa", "--loss", "absolute", "--max-outer", "5"]),
-        ("lr", ["--solver", "sgdm", "--iters", "5"]),
-    ], ids=["t", "rho", "lr"])
+    ], ids=["t", "rho"])
     def test_infinite_step_parameter_rejected(self, tmp_path, capsys, flag, argv):
         # stopped before the fit, with the flag's value in the message, not
         # by the first non-finite residual or subproblem matrix
@@ -320,14 +309,6 @@ class TestRun:
         assert rc == 1
         assert "invalid solver config" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
-
-    def test_baseline_solver_runs(self, tmp_path):
-        out = tmp_path / "o"
-        rc = main(["run", "--task", "franke", "--solver", "adam",
-                   "--q", "4", "--n-train", "20", "--n-test", "5",
-                   "--iters", "25", "--out", str(out)])
-        assert rc == 0
-        assert _read_summary(out)["iterations"] == 25
 
 
 class TestGenData:
@@ -453,8 +434,12 @@ class TestCompare:
             build_parser().parse_args(["compare", "--task", "franke",
                                        "--solver", "glpa"])
 
-    def test_failed_fit_leaves_no_out_dir(self, tmp_path, capsys):
-        # the writers make the directory, so a fit that fails makes none
+    def test_failed_fit_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        # the writers make the directory, so a fit that fails makes none;
+        # the baselines' flags are checked before GLPA's fit starts
+        glpa_calls = []
+        monkeypatch.setattr(cli_mod, "glpa_fit",
+                            lambda *args: glpa_calls.append(args))
         out = tmp_path / "c" / "d"
         rc = main(["compare", "--task", "franke", "--q", "4", "--n-train", "20",
                    "--n-test", "5", "--max-outer", "5", "--iters", "5",
@@ -462,6 +447,43 @@ class TestCompare:
         assert rc == 1
         assert "lr=inf" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+        assert glpa_calls == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_momentum_rejected(self, tmp_path, capsys, value):
+        # stopped before the fits, not by the first non-finite residual
+        out = tmp_path / "o"
+        rc = main(["compare", "--task", "franke", "--momentum", value, "--q", "4",
+                   "--n-train", "20", "--n-test", "5", "--max-outer", "5",
+                   "--iters", "5", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid hyperparameters" in err and f"momentum={value}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("t", ["--loss", "quadratic"]), ("rho", ["--loss", "absolute"]),
+        ("lr", ["--loss", "quadratic"]),
+    ], ids=["t", "rho", "lr"])
+    def test_infinite_step_parameter_rejected(self, tmp_path, capsys, monkeypatch,
+                                              flag, argv):
+        # every solver flag is checked before any fit evaluates the network
+        evaluations = []
+        real_inner_eval = solvers_mod.inner_eval
+
+        def recording_inner_eval(*args, **kwargs):
+            evaluations.append(args)
+            return real_inner_eval(*args, **kwargs)
+
+        monkeypatch.setattr(solvers_mod, "inner_eval", recording_inner_eval)
+        out = tmp_path / "o"
+        rc = main(["compare", "--task", "franke", "--q", "4", "--n-train", "20",
+                   "--n-test", "5", "--max-outer", "5", "--iters", "5", *argv,
+                   f"--{flag}", "inf", "--out", str(out)])
+        assert rc == 1
+        assert f"{flag}=inf" in capsys.readouterr().err
+        assert not out.exists()
+        assert evaluations == []
 
     def test_compare_outputs(self, tmp_path):
         out = tmp_path / "c"
@@ -479,7 +501,7 @@ class TestCompare:
         assert set(summary["final_objectives"]) == {"glpa", "sgdm",
                                                     "rmsprop", "adam"}
         assert all(np.isfinite(v) for v in summary["final_objectives"].values())
-        assert summary["schema_version"] == 7
+        assert summary["schema_version"] == 8
         assert (summary["environment"]["blas_threads"]
                 == os.environ["OPENBLAS_NUM_THREADS"])
         assert summary["environment"]["cpu_count"] == os.cpu_count()

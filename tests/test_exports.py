@@ -149,7 +149,7 @@ def test_one_csv_writer():
     calls = {kind: [call for path in files for call in _csv_calls(path, names)]
              for kind, names in (("writer", CSV_WRITERS), ("reader", CSV_READERS))}
     assert calls == {"writer": [("data.py", "write_csv")],
-                     "reader": [("data.py", "_bundled_digits")]}
+                     "reader": [("data.py", "load_digits_csv")]}
 
 
 def _is_exception_name(name: str) -> bool:

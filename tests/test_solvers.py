@@ -10,11 +10,12 @@ from signet.losses import LossKind, outer_value
 import signet.model as model_mod
 import signet.solvers as solvers_mod
 from signet.model import NetworkShape, init_params, inner_eval, predict
-from signet.solvers import (SolverConfig, backtrack, baseline_fit, glpa_fit,
-                            lpa_fit)
+from signet.solvers import (BASELINES, SolverConfig, backtrack, baseline_fit,
+                            glpa_fit, lpa_fit)
 from signet.subsolvers import AdmmConfig, StepInfo
 
-from conftest import pack_params, planted_instance, subproblem_model_value
+from conftest import (pack_params, planted_instance, reference_baseline,
+                      subproblem_model_value)
 
 
 def _one_point_problem():
@@ -437,8 +438,9 @@ class TestBaselines:
         # numeric curvature estimate along the path sets a safe rate
         J = inner_eval(theta0, shape, X, y, LossKind.QUADRATIC).jacobian()
         lipschitz = 2.0 / J.shape[0] * np.linalg.norm(J, 2) ** 2 * 4
-        [rep] = baseline_fit(X, y, shape, LossKind.QUADRATIC, ("sgdm",), theta0,
-                             lr=min(1e-1, 1.0 / lipschitz), momentum=0.0, iters=200)
+        rep, _, _ = baseline_fit(X, y, shape, LossKind.QUADRATIC, theta0,
+                                 lr=min(1e-1, 1.0 / lipschitz), momentum=0.0,
+                                 iters=200)
         objs = [r.objective for r in rep.trace] + [rep.final_objective]
         assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
 
@@ -448,17 +450,18 @@ class TestBaselines:
         theta = pack_params([8.0], [[1.0]], [0.0], -2.0)
         X = np.array([[1.5], [2.0], [3.0]])
         y = np.ones(3)
-        [rep] = baseline_fit(X, y, shape, LossKind.HINGE, ("adam",), theta, iters=5)
-        assert np.array_equal(rep.theta_star, theta)
-        assert rep.final_objective == 0.0
+        for rep in baseline_fit(X, y, shape, LossKind.HINGE, theta, iters=5):
+            assert np.array_equal(rep.theta_star, theta)
+            assert rep.final_objective == 0.0
 
     @pytest.mark.parametrize("name", ["sgdm", "rmsprop", "adam"])
     def test_all_optimizers_run_and_record(self, rng, name):
         shape = NetworkShape(d=2, q=2)
         X = rng.uniform(0, 1, (10, 2))
         y = rng.normal(size=10)
-        [rep] = baseline_fit(X, y, shape, LossKind.QUADRATIC, (name,),
-                             rng.uniform(-0.5, 0.5, shape.n), iters=50)
+        rep = baseline_fit(X, y, shape, LossKind.QUADRATIC,
+                           rng.uniform(-0.5, 0.5, shape.n),
+                           iters=50)[BASELINES.index(name)]
         assert len(rep.trace) == 50
         assert np.all(np.isfinite(rep.theta_star))
 
@@ -467,9 +470,9 @@ class TestBaselines:
         builds = _count_jacobians(monkeypatch)
         shape = NetworkShape(d=2, q=2)
         X = rng.uniform(0, 1, (10, 2))
-        [rep] = baseline_fit(X, rng.choice([-1.0, 1.0], size=10), shape,
-                             LossKind.HINGE, (name,), rng.uniform(-0.5, 0.5, shape.n),
-                             iters=20)
+        rep = baseline_fit(X, rng.choice([-1.0, 1.0], size=10), shape,
+                           LossKind.HINGE, rng.uniform(-0.5, 0.5, shape.n),
+                           iters=20)[BASELINES.index(name)]
         assert len(rep.trace) == 20
         assert builds["n"] == 0
 
@@ -481,52 +484,34 @@ class TestBaselines:
         y = (rng.choice([-1.0, 1.0], size=15) if loss is LossKind.HINGE
              else rng.normal(size=15))
         theta0 = rng.uniform(-0.5, 0.5, shape.n)
-        names = ("sgdm", "rmsprop", "adam")
-        reports = baseline_fit(X, y, shape, loss, names, theta0, lr=1e-2, iters=30)
+        reports = baseline_fit(X, y, shape, loss, theta0, lr=1e-2, momentum=0.9,
+                               iters=30)
         assert len(reports) == 3
-        for name, rep in zip(names, reports):
-            [solo] = baseline_fit(X, y, shape, loss, (name,), theta0, lr=1e-2,
-                                  iters=30)
-            assert np.array_equal(rep.theta_star, solo.theta_star), name
-            assert ([(r.k, r.objective, r.step_norm) for r in rep.trace]
-                    == [(r.k, r.objective, r.step_norm) for r in solo.trace]), name
-            assert rep.final_objective == solo.final_objective, name
+        for name, rep in zip(BASELINES, reports):
+            theta, rows, final = reference_baseline(name, X, y, shape, loss, theta0,
+                                                    lr=1e-2, momentum=0.9, iters=30)
+            assert np.array_equal(rep.theta_star, theta), name
+            assert [(r.k, r.objective, r.step_norm) for r in rep.trace] == rows, name
+            assert rep.final_objective == final, name
         assert not np.array_equal(reports[0].theta_star, reports[2].theta_star)
         # the rows of one iteration share one clock
         assert all(a.elapsed_s == b.elapsed_s == c.elapsed_s
                    for a, b, c in zip(*(rep.trace for rep in reports)))
 
-    def test_optimizer_names_checked(self):
-        shape, X, y = _one_point_problem()
-        with pytest.raises(ValueError, match="no optimizer"):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, (), np.zeros(shape.n))
-        with pytest.raises(ValueError, match="'newton'"):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("adam", "newton"),
-                         np.zeros(shape.n))
-        # names are matched exactly, as BASELINES spells them
-        with pytest.raises(ValueError, match="unknown optimizer 'SGDM'"):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("SGDM",), np.zeros(shape.n))
-        # a bare string is not read as a sequence of one-letter names
-        with pytest.raises(ValueError, match="a tuple of names, got 'adam'"):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, "adam", np.zeros(shape.n))
-
     def test_invalid_hyperparameters(self, rng):
         shape, X, y = _one_point_problem()
         with pytest.raises(ValueError):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("adam",),
-                         np.zeros(shape.n), lr=0.0)
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, np.zeros(shape.n),
+                         lr=0.0)
         with pytest.raises(ValueError):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("adam",),
-                         np.zeros(shape.n), lr=float("nan"))
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, np.zeros(shape.n),
+                         lr=float("nan"))
         with pytest.raises(ValueError, match="momentum=nan"):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("sgdm",),
-                         np.zeros(shape.n), momentum=float("nan"))
-        with pytest.raises(ValueError):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("newton",),
-                         np.zeros(shape.n))
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, np.zeros(shape.n),
+                         momentum=float("nan"))
 
     def test_infinite_lr_rejected(self):
         shape, X, y = _one_point_problem()
         with pytest.raises(ValueError, match="lr=inf"):
-            baseline_fit(X, y, shape, LossKind.QUADRATIC, ("adam",),
-                         np.zeros(shape.n), lr=float("inf"))
+            baseline_fit(X, y, shape, LossKind.QUADRATIC, np.zeros(shape.n),
+                         lr=float("inf"))
