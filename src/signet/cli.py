@@ -1,10 +1,9 @@
-"""Experiment command line: dataset generation, training runs with trace and
-summary files, and optimizer comparisons.
+"""Experiment command line: training runs with trace and summary files, and
+optimizer comparisons.
 
 Subcommands:
   run       fit one model with LPA or GLPA, write trace.csv / summary.json /
             model.csv
-  gen-data  materialize a dataset as CSV files
   compare   run GLPA against SGDM, RMSProp, Adam on the same task and seed
 """
 
@@ -47,7 +46,8 @@ _TASK_FLAGS = {"n_train": ("franke", _FRANKE_SIZES["n_train"].default),
                "normalize": ("digits", False)}
 
 
-def _add_data_flags(p: argparse.ArgumentParser):
+def _add_flags(p: argparse.ArgumentParser):
+    """The data and solver flags run and compare share."""
     p.add_argument("--task", choices=["franke", "digits"], required=True)
     p.add_argument("--noise-sigma", type=float,
                    help="enable training-target noise with this sigma_tilde "
@@ -60,14 +60,13 @@ def _add_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--normalize", action="store_true",
                    help="divide digit pixels by 16 (digits task)")
     p.set_defaults(**{flag: default for flag, (_, default) in _TASK_FLAGS.items()})
-
-
-def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--loss", choices=[k.value for k in LossKind], default="quadratic")
     p.add_argument("--q", type=int, default=None,
                    help="hidden neurons (default: adaptive size from m and d)")
     p.add_argument("--t", type=float, default=SolverConfig.t)
-    p.add_argument("--step-tol", type=float, default=SolverConfig.step_tol)
+    p.add_argument("--step-tol", type=float, default=SolverConfig.step_tol,
+                   help="stop once a step's norm ||dtheta|| falls below this; "
+                        "it bounds the step, not the objective")
     p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
     p.add_argument("--rho", type=float, default=AdmmConfig.rho)
     p.add_argument("--eps", type=float, default=AdmmConfig.eps,
@@ -86,32 +85,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="train one model and write result files")
-    p_gen = sub.add_parser("gen-data", help="write datasets as CSV")
     p_cmp = sub.add_parser("compare",
                            help="GLPA vs SGDM/RMSProp/Adam on one task")
-    _add_data_flags(p_gen)
-    for p in (p_run, p_cmp):
-        _add_data_flags(p)
-        _add_solver_flags(p)
+    _add_flags(p_run)
+    _add_flags(p_cmp)
     p_run.add_argument("--solver", choices=["lpa", "glpa"], default="lpa")
     p_run.add_argument("--save-model", action="store_true",
                        help="also write model.csv with the final parameters")
-    p_cmp.add_argument("--lr", type=float, default=1e-3)
-    p_cmp.add_argument("--momentum", type=float, default=0.9)
-    p_cmp.add_argument("--iters", type=int, default=1000,
+    # the baselines' flags default to baseline_fit's own values
+    baseline = inspect.signature(baseline_fit).parameters
+    p_cmp.add_argument("--lr", type=float, default=baseline["lr"].default)
+    p_cmp.add_argument("--momentum", type=float,
+                       default=baseline["momentum"].default)
+    p_cmp.add_argument("--iters", type=int, default=baseline["iters"].default,
                        help="iteration count for the first-order baselines")
     return parser
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    try:
-        a, b = (int(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(f"--pair expects 'A,B', got {text!r}") from None
-    return a, b
-
-
-def _load_task(args) -> tuple[data_mod.Dataset, data_mod.Dataset]:
+def _setup(args):
+    """(loss, train, test, shape, theta0) of a run or a comparison."""
+    loss = LossKind(args.loss)
+    if (loss is LossKind.HINGE) != (args.task == "digits"):
+        raise ValueError("classification tasks use the hinge loss, and only "
+                         f"they do: got --task {args.task} --loss {args.loss}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     for flag, (task, default) in _TASK_FLAGS.items():
@@ -121,19 +117,15 @@ def _load_task(args) -> tuple[data_mod.Dataset, data_mod.Dataset]:
     if args.task == "franke":
         noise = (data_mod.NoiseSpec(args.noise_sigma, args.seed)
                  if args.noise_sigma is not None else None)
-        return data_mod.make_franke_datasets(args.n_train, args.n_test, noise)
-    a, b = _parse_pair(args.pair)
-    return data_mod.make_binary_task(data_mod.load_digits_csv(), a, b,
-                                     seed=args.seed, normalize=args.normalize)
-
-
-def _setup(args):
-    """(loss, train, test, shape, theta0) of a run or a comparison."""
-    loss = LossKind(args.loss)
-    if (loss is LossKind.HINGE) != (args.task == "digits"):
-        raise ValueError("classification tasks use the hinge loss, and only "
-                         f"they do: got --task {args.task} --loss {args.loss}")
-    train, test = _load_task(args)
+        train, test = data_mod.make_franke_datasets(args.n_train, args.n_test, noise)
+    else:
+        try:
+            a, b = (int(v) for v in args.pair.split(","))
+        except ValueError:
+            raise ValueError(f"--pair expects 'A,B', got {args.pair!r}") from None
+        train, test = data_mod.make_binary_task(data_mod.load_digits_csv(), a, b,
+                                                seed=args.seed,
+                                                normalize=args.normalize)
     q = args.q if args.q is not None else diagnostics.adaptive_network_size(
         train.m, train.d)
     shape = NetworkShape(d=train.d, q=q)
@@ -227,16 +219,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_gen_data(args) -> int:
-    train, test = _load_task(args)
-    out = Path(args.out)
-    data_mod.save_dataset_csv(train, out / "train.csv")
-    data_mod.save_dataset_csv(test, out / "test.csv")
-    print(f"wrote {out / 'train.csv'} ({train.m} rows) and "
-          f"{out / 'test.csv'} ({test.m} rows)")
-    return 0
-
-
 def cmd_compare(args) -> int:
     loss, train, _, shape, theta0 = _setup(args)
     cfg = _solver_config(args)
@@ -261,11 +243,7 @@ def cmd_compare(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "gen-data":
-            return cmd_gen_data(args)
-        return cmd_compare(args)
+        return cmd_run(args) if args.command == "run" else cmd_compare(args)
     except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """The paper's two datasets: Franke's surface at Halton points, with the
 positive-noise recipe, and the bundled digits file with its binary-task
-splits; and the one CSV writer for datasets and result files.
+splits; and the one CSV writer, for result files.
 """
 
 from __future__ import annotations
@@ -154,9 +154,3 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows([f"{v:.17g}" if isinstance(v, float) else
                           int(v) if isinstance(v, bool) else v for v in row]
                          for row in rows)
-
-
-def save_dataset_csv(ds: Dataset, path) -> None:
-    """Write a dataset as x0..x{d-1},y rows of 17-significant-digit floats."""
-    write_csv(path, [f"x{j}" for j in range(ds.d)] + ["y"],
-              np.column_stack([ds.inputs, ds.targets]).tolist())

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import os
 import platform
@@ -204,8 +203,7 @@ class TestRun:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--task", "franke"], ["compare", "--task", "franke"],
-        ["gen-data", "--task", "digits"],
-    ], ids=["run", "compare", "gen-data"])
+    ], ids=["run", "compare"])
     def test_negative_seed_rejected(self, tmp_path, capsys, argv):
         # named in the message, not numpy's "expected non-negative integer"
         out = tmp_path / "o"
@@ -229,14 +227,31 @@ class TestRun:
          "--n-train"),
         (["run", "--task", "digits", "--loss", "hinge", "--n-test", "5"],
          "--n-test"),
-        (["gen-data", "--task", "digits", "--n-test", "5"], "--n-test"),
     ], ids=["digits-noise-sigma", "franke-normalize", "franke-pair",
-            "digits-n-train", "digits-n-test", "gen-data-digits-n-test"])
+            "digits-n-train", "digits-n-test"])
     def test_flag_the_task_ignores_rejected(self, tmp_path, capsys, argv, flag):
         # it would be echoed into summary.json with no effect on the run
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 1
         assert f"{flag} applies to the" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_sigma_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        rc = main(["run", "--task", "franke", "--noise-sigma", value,
+                   "--out", str(out)])
+        assert rc == 1
+        assert (f"sigma_tilde must be positive and finite, got {value}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_bad_pair_format(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["run", "--task", "digits", "--loss", "hinge", "--pair", "37",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error: --pair expects 'A,B', got '37'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_digits_hinge_smoke(self, tmp_path):
@@ -311,60 +326,6 @@ class TestRun:
         assert not (out / "summary.json").exists()
 
 
-class TestGenData:
-    def test_franke_csv_files(self, tmp_path):
-        out = tmp_path / "d"
-        rc = main(["gen-data", "--task", "franke", "--n-train", "12",
-                   "--n-test", "4", "--out", str(out)])
-        assert rc == 0
-        with open(out / "train.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x0", "x1", "y"]
-        assert len(rows) == 13
-        with open(out / "test.csv", newline="", encoding="utf-8") as fh:
-            assert len(list(csv.reader(fh))) == 5
-
-    def test_digits_pair_export(self, tmp_path):
-        out = tmp_path / "d"
-        rc = main(["gen-data", "--task", "digits", "--pair", "3,7",
-                   "--out", str(out)])
-        assert rc == 0
-        with open(out / "train.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 254  # header + 253 samples
-        assert rows[0][-1] == "y"
-        labels = {row[-1] for row in rows[1:]}
-        assert labels == {"1", "-1"}
-
-    def test_digits_pair_export_bytes(self, tmp_path):
-        # the export is pinned byte for byte: split, row order and formatting
-        out = tmp_path / "d"
-        assert main(["gen-data", "--task", "digits", "--pair", "3,7",
-                     "--out", str(out)]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("train.csv", "test.csv")}
-        assert digests == {
-            "train.csv": "68d20410f170406dd358f9de8fa7224ae59152b263d30f3eeb0994bd28b29090",
-            "test.csv": "570023f2f1204f68c0cab6dbd2cd8bbec22c697d8e167078e5923d7a6d82e21b",
-        }
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_noise_sigma_rejected(self, tmp_path, capsys, value):
-        out = tmp_path / "d"
-        rc = main(["gen-data", "--task", "franke", "--noise-sigma", value,
-                   "--out", str(out)])
-        assert rc == 1
-        assert (f"sigma_tilde must be positive and finite, got {value}"
-                in capsys.readouterr().err)
-        assert not out.exists()
-
-    def test_bad_pair_format(self, tmp_path, capsys):
-        rc = main(["gen-data", "--task", "digits", "--pair", "37",
-                   "--out", str(tmp_path / "d")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-
-
 def _readme_cli_commands() -> list:
     """The `signet ...` commands of the README's CLI block, each one line."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -378,7 +339,7 @@ def _readme_cli_commands() -> list:
 def test_readme_cli_commands_parse():
     # the documented commands name no removed flag or task; none is run
     commands = _readme_cli_commands()
-    assert [argv[0] for argv in commands] == ["run", "run", "compare", "gen-data"]
+    assert [argv[0] for argv in commands] == ["run", "run", "compare", "run"]
     for argv in commands:
         build_parser().parse_args(argv)
 

@@ -9,7 +9,7 @@ import pytest
 
 from signet.data import (Dataset, NoiseSpec, franke, halton_points,
                          load_digits_csv, make_binary_task, make_franke_datasets,
-                         save_dataset_csv, split_dataset)
+                         split_dataset, write_csv)
 
 from conftest import reference_halton_points
 
@@ -171,6 +171,21 @@ class TestDigits:
         with pytest.raises(ValueError, match="the two digits must differ"):
             make_binary_task(digits, 4, 4)
 
+    def test_pair_split_csv_bytes(self, tmp_path):
+        # the 3-7 split is pinned byte for byte: row selection, shuffle and
+        # the writer's number format
+        digests = {}
+        for name, ds in zip(("train", "test"),
+                            make_binary_task(load_digits_csv(), 3, 7)):
+            path = tmp_path / f"{name}.csv"
+            write_csv(path, [f"x{j}" for j in range(ds.d)] + ["y"],
+                      np.column_stack([ds.inputs, ds.targets]).tolist())
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == {
+            "train": "68d20410f170406dd358f9de8fa7224ae59152b263d30f3eeb0994bd28b29090",
+            "test": "570023f2f1204f68c0cab6dbd2cd8bbec22c697d8e167078e5923d7a6d82e21b",
+        }
+
     def test_normalize_flag(self):
         digits = load_digits_csv()
         raw, _ = make_binary_task(digits, 0, 1, seed=0)
@@ -201,7 +216,8 @@ class TestCsvRoundTrip:
         # read back with the csv module, as the bundled-file test reads
         ds = Dataset(rng.uniform(0, 1, (13, 2)), rng.normal(size=13))
         path = tmp_path / "ds.csv"
-        save_dataset_csv(ds, path)
+        write_csv(path, ["x0", "x1", "y"],
+                  np.column_stack([ds.inputs, ds.targets]).tolist())
         with open(path, newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["x0", "x1", "y"]
@@ -211,8 +227,8 @@ class TestCsvRoundTrip:
 
     def test_saved_bytes(self, tmp_path):
         # 17 significant digits, shortest exponent form, CRLF line ends
-        ds = Dataset(np.array([[0.1, -0.0], [1 / 3, 1e-300]]), np.array([1.0, -1.0]))
         path = tmp_path / "ds.csv"
-        save_dataset_csv(ds, path)
+        write_csv(path, ["x0", "x1", "y"],
+                  [[0.1, -0.0, 1.0], [1 / 3, 1e-300, -1.0]])
         assert path.read_bytes() == (b"x0,x1,y\r\n0.10000000000000001,-0,1\r\n"
                                      b"0.33333333333333331,1e-300,-1\r\n")

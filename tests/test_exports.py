@@ -4,13 +4,15 @@ defines it: the library modules, the experiment scripts and the benchmark
 harness. A name used only by its own module and the tests stays
 importable from that module, not from `signet`; a product used only by
 the tests belongs to the tests' dense-Jacobian oracles. The experiment
-scripts use no private (`_`-prefixed) name of a signet module, and no
+scripts use no private (`_`-prefixed) name of a signet module, every
+`signet` command is run by a script or a benchmark workload, and no
 library module, script or test file imports a name it never uses. One
 function, `data.write_csv`, writes every CSV file, and the package reads
 one, its bundled digits file. The package defines no exception class: bad
 input raises the built-in errors, which is all a caller catches. The
 declared numpy floor covers the numpy API the package uses."""
 
+import argparse
 import ast
 import builtins
 import importlib
@@ -21,7 +23,10 @@ from pathlib import Path
 import pytest
 
 import signet
+from signet.cli import build_parser
 from signet.model import ResidualEval
+
+from conftest import load_module
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,6 +85,30 @@ def test_scripts_use_no_private_signet_name():
     found = {path.name: sorted(_referenced_names(path) & private)
              for path in sorted((ROOT / "scripts").glob("*.py"))}
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def _script_commands(path: Path) -> set:
+    """The command of each CLI argument list a script writes: the first
+    item of every list literal that starts with a string."""
+    return {node.elts[0].value
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.List) and node.elts
+            and isinstance(node.elts[0], ast.Constant)
+            and isinstance(node.elts[0].value, str)}
+
+
+def test_every_command_has_a_caller():
+    # a command no experiment script or benchmark workload runs is a public
+    # name with no caller outside its own tests
+    [subparsers] = [action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    workloads = load_module(ROOT / "perfbench" / "workloads.py",
+                            "_perfbench_workloads").WORKLOADS
+    run = set().union(*(_script_commands(path)
+                        for path in sorted((ROOT / "scripts").glob("*.py"))),
+                      {inv.argv[0] for workload in workloads.values()
+                       for inv in workload.invocations})
+    assert sorted(set(subparsers.choices) - run) == []
 
 
 def _unused_imports(path: Path) -> list:
@@ -142,9 +171,9 @@ def _csv_calls(path: Path, names: tuple) -> list:
 
 
 def test_one_csv_writer():
-    # One reader and one writer. Datasets and result files share one
-    # format: a second writer would have to copy its number format and line
-    # ends by hand. The one file signet reads is the one it ships.
+    # One reader and one writer. All result files share one format: a
+    # second writer would have to copy its number format and line ends by
+    # hand. The one file signet reads is the one it ships.
     files = sorted((ROOT / "src" / "signet").glob("*.py"))
     calls = {kind: [call for path in files for call in _csv_calls(path, names)]
              for kind, names in (("writer", CSV_WRITERS), ("reader", CSV_READERS))}
