@@ -22,7 +22,7 @@ else:
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     _blas_threads = os.environ["OPENBLAS_NUM_THREADS"]
 
-from .data import Dataset, NoiseSpec, make_binary_task, make_franke_datasets
+from .data import Dataset, make_binary_task, make_franke_datasets
 from .diagnostics import adaptive_network_size, jacobian_rank, max_error, rms_error
 from .losses import LossKind, outer_value, prox
 from .model import NetworkShape, ResidualEval, init_params, inner_eval, predict
@@ -31,7 +31,7 @@ from .subsolvers import admm_solve, lm_step
 
 __all__ = [
     "AdmmConfig", "Dataset", "FitReport", "LossKind",
-    "NetworkShape", "NoiseSpec", "ResidualEval", "SolverConfig",
+    "NetworkShape", "ResidualEval", "SolverConfig",
     "adaptive_network_size", "admm_solve", "baseline_fit", "glpa_fit",
     "init_params", "inner_eval", "jacobian_rank", "lm_step", "lpa_fit",
     "make_binary_task", "make_franke_datasets", "max_error", "outer_value",

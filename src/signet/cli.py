@@ -32,17 +32,13 @@ from .solvers import (BASELINES, FitReport, IterationRecord, SolverConfig,
                       baseline_fit, glpa_fit, lpa_fit)
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
-# the flags one task alone reads, each with that task and its default (the
-# Franke split sizes are make_franke_datasets's own); any other value given
-# with the other task would be echoed into summary.json with no effect on
-# the run
-_FRANKE_SIZES = inspect.signature(data_mod.make_franke_datasets).parameters
-_TASK_FLAGS = {"n_train": ("franke", _FRANKE_SIZES["n_train"].default),
-               "n_test": ("franke", _FRANKE_SIZES["n_test"].default),
-               "noise_sigma": ("franke", None), "pair": ("digits", "0,1"),
+# the flags one task alone reads, each with that task and its default; any
+# other value given with the other task would be echoed into summary.json
+# with no effect on the run
+_TASK_FLAGS = {"noise_sigma": ("franke", None), "pair": ("digits", "0,1"),
                "normalize": ("digits", False)}
 
 
@@ -55,8 +51,6 @@ def _add_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pair", type=str, help="digit pair A,B for the digits task")
     p.add_argument("--out", type=str, default="out")
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--n-test", type=int)
     p.add_argument("--normalize", action="store_true",
                    help="divide digit pixels by 16 (digits task)")
     p.set_defaults(**{flag: default for flag, (_, default) in _TASK_FLAGS.items()})
@@ -115,9 +109,8 @@ def _setup(args):
             raise ValueError(f"--{flag.replace('_', '-')} applies to the "
                              f"{task} task only")
     if args.task == "franke":
-        noise = (data_mod.NoiseSpec(args.noise_sigma, args.seed)
-                 if args.noise_sigma is not None else None)
-        train, test = data_mod.make_franke_datasets(args.n_train, args.n_test, noise)
+        train, test = data_mod.make_franke_datasets(noise_sigma=args.noise_sigma,
+                                                    seed=args.seed)
     else:
         try:
             a, b = (int(v) for v in args.pair.split(","))

@@ -36,27 +36,6 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Positive noise added to training targets: uniform(0, 1) draws scaled
-    by 1/(sqrt(2*pi)*sigma_tilde)."""
-    sigma_tilde: float = 100.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.sigma_tilde < math.inf:
-            raise ValueError(f"sigma_tilde must be positive and finite, "
-                             f"got {self.sigma_tilde}")
-
-    @property
-    def amplitude(self) -> float:
-        return 1.0 / (math.sqrt(2.0 * math.pi) * self.sigma_tilde)
-
-    def sample(self, count: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        return self.amplitude * rng.uniform(0.0, 1.0, size=count)
-
-
 def halton_points(count: int) -> np.ndarray:
     """The first count Halton points in bases 2 and 3, indices 1..count:
     per base, the radical inverse of every index, its digits added from the
@@ -83,16 +62,24 @@ def franke(x1, x2):
 
 
 def make_franke_datasets(n_train: int = 289, n_test: int = 121,
-                         noise: NoiseSpec | None = None) -> tuple[Dataset, Dataset]:
+                         noise_sigma: float | None = None,
+                         seed: int = 0) -> tuple[Dataset, Dataset]:
     """Train/test sets from one run of 2-D Halton points (bases 2 and 3),
     the test points continuing the training ones, targets from Franke's
-    surface; optional positive noise on training targets only."""
+    surface. Given noise_sigma (sigma_tilde), positive noise is added to the
+    training targets only: uniform(0, 1) draws from seed, scaled by
+    1/(sqrt(2*pi)*sigma_tilde); seed seeds nothing else."""
     if n_train < 1 or n_test < 1:
         raise ValueError("dataset sizes must be >= 1")
     X = halton_points(n_train + n_test)
     y = franke(X[:, 0], X[:, 1])
-    if noise is not None:
-        y[:n_train] += noise.sample(n_train)
+    if noise_sigma is not None:
+        if not 0 < noise_sigma < math.inf:
+            raise ValueError(f"sigma_tilde must be positive and finite, "
+                             f"got {noise_sigma}")
+        amplitude = 1.0 / (math.sqrt(2.0 * math.pi) * noise_sigma)
+        y[:n_train] += amplitude * np.random.default_rng(seed).uniform(
+            0.0, 1.0, size=n_train)
     return Dataset(X[:n_train], y[:n_train]), Dataset(X[n_train:], y[n_train:])
 
 

@@ -43,18 +43,19 @@ def random_instance(rng, d_max=5, q_max=8, m_max=12, theta_scale=2.0):
     return shape, theta, X, y, labels
 
 
-def planted_instance():
-    """A regression task where the convergence theorem's assumptions hold:
-    50 points uniform in [-1, 1]^8, targets from a planted network theta*
-    of the adaptive size (q = 5, n = 51), so the squared and the absolute
-    loss have minimum 0 at theta* (weak sharp for the absolute loss), and
+def planted_instance(m=50, d=8, teacher_seed=0):
+    """A regression task with a zero-residual minimum: m points uniform in
+    [-1, 1]^d and targets from a planted `wide` network theta* (seeded by
+    teacher_seed) of the adaptive size, so the squared and the absolute loss
+    have minimum 0 at theta* (weak sharp for the absolute loss). At the
+    defaults the convergence theorem's assumptions hold: q = 5, n = 51, and
     J(theta*) has full row rank, 50 of 50 (sigma_min/sigma_max = 6.8e-6).
     Returns (shape, X, y, theta*, theta0) with theta0 = theta* + 0.1 N(0, I)
     from the generator that drew X."""
     rng = np.random.default_rng(100)
-    X = rng.uniform(-1.0, 1.0, (50, 8))
-    shape = NetworkShape(d=8, q=adaptive_network_size(50, 8))
-    theta_star = init_params(shape, "wide", 0)
+    X = rng.uniform(-1.0, 1.0, (m, d))
+    shape = NetworkShape(d=d, q=adaptive_network_size(m, d))
+    theta_star = init_params(shape, "wide", teacher_seed)
     theta0 = theta_star + 0.1 * rng.normal(size=shape.n)
     return shape, X, predict(theta_star, shape, X), theta_star, theta0
 

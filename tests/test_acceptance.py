@@ -12,8 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from signet.data import (NoiseSpec, load_digits_csv, make_binary_task,
-                         make_franke_datasets)
+from signet.data import load_digits_csv, make_binary_task, make_franke_datasets
 from signet.diagnostics import (adaptive_network_size, classification_errors,
                                 rms_error)
 from signet.losses import LossKind, prox
@@ -142,9 +141,10 @@ def test_criterion_4_optimizer_comparison(digits):
             assert rep.final_objective < base.final_objective, name
 
 
-def test_criterion_5_noise_recipe():
-    spec = NoiseSpec(sigma_tilde=100.0, seed=0)
-    samples = spec.sample(289)
+def test_criterion_5_noise_recipe(franke):
+    noisy, _ = make_franke_datasets(noise_sigma=100.0, seed=0)
+    samples = noisy.targets - franke[0].targets
+    assert samples.size == 289
     bound = 1.0 / (np.sqrt(2 * np.pi) * 100.0)
     assert bound == pytest.approx(3.9894e-3, abs=1e-7)
     assert np.all(samples >= 0.0)

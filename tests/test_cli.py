@@ -15,11 +15,11 @@ import scipy
 import signet.cli as cli_mod
 import signet.solvers as solvers_mod
 from signet.cli import _setup, _solver_config, build_parser, main
-from signet.data import load_digits_csv, make_franke_datasets
+from signet.data import load_digits_csv, make_binary_task, make_franke_datasets
 from signet.diagnostics import max_error, rms_error
 from signet.losses import LossKind
 from signet.model import NetworkShape, init_params, predict
-from signet.solvers import SolverConfig, glpa_fit
+from signet.solvers import AdmmConfig, SolverConfig, glpa_fit
 
 
 def _read_summary(out):
@@ -64,22 +64,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--task", "franke", *flag])
 
-    def test_franke_split_defaults_are_the_dataset_defaults(self):
-        args = build_parser().parse_args(["run", "--task", "franke"])
-        train, test = make_franke_datasets()
-        assert (args.n_train, args.n_test) == (train.m, test.m)
-
 
 class TestRun:
     def test_franke_quadratic_smoke(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["run", "--task", "franke", "--loss", "quadratic",
-                   "--solver", "lpa", "--q", "8", "--n-train", "40",
-                   "--n-test", "10", "--max-outer", "10",
+                   "--solver", "lpa", "--q", "8", "--max-outer", "10",
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 8
+        assert summary["schema_version"] == 9
         assert summary["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -102,22 +96,25 @@ class TestRun:
     def test_trace_objectives_finite_and_descending_for_glpa(self, tmp_path):
         out = tmp_path / "o"
         main(["run", "--task", "franke", "--loss", "quadratic",
-              "--solver", "glpa", "--q", "8", "--n-train", "40",
-              "--n-test", "10", "--max-outer", "15", "--out", str(out)])
+              "--solver", "glpa", "--q", "8", "--max-outer", "15",
+              "--out", str(out)])
         objs = [float(r["objective"]) for r in _read_trace(out)]
         assert all(np.isfinite(objs))
         assert objs[-1] <= objs[0]
 
     def test_trace_records_line_search_acceptance(self, tmp_path):
-        # written as 1/0, so every trace cell parses as a number
+        # written as 1/0, so every trace cell parses as a number; seed 1's
+        # pair 5-9 at the acceptance settings ends on one rejected step
         out = tmp_path / "o"
-        assert main(["run", "--task", "franke", "--loss", "absolute",
-                     "--solver", "glpa", "--q", "4", "--n-train", "40",
-                     "--n-test", "5", "--max-outer", "30", "--out", str(out)]) == 0
-        train, _ = make_franke_datasets(40, 5)
-        shape = NetworkShape(d=2, q=4)
-        report = glpa_fit(train.inputs, train.targets, shape, LossKind.ABSOLUTE,
-                          SolverConfig(max_outer=30), init_params(shape, "uniform", 0))
+        assert main(["run", "--task", "digits", "--loss", "hinge",
+                     "--solver", "glpa", "--pair", "5,9", "--normalize", "--q", "4",
+                     "--admm-max-iters", "10", "--seed", "1",
+                     "--out", str(out)]) == 0
+        train, _ = make_binary_task(load_digits_csv(), 5, 9, seed=1, normalize=True)
+        shape = NetworkShape(d=64, q=4)
+        report = glpa_fit(train.inputs, train.targets, shape, LossKind.HINGE,
+                          SolverConfig(admm=AdmmConfig(max_iters=10)),
+                          init_params(shape, "uniform", 1))
         trace = _read_trace(out)
         cells = [row["accepted"] for row in trace]
         assert cells == [str(int(rec.accepted)) for rec in report.trace]
@@ -130,9 +127,8 @@ class TestRun:
 
     def test_save_model_roundtrip(self, tmp_path):
         out = tmp_path / "o"
-        main(["run", "--task", "franke", "--q", "4", "--n-train", "20",
-              "--n-test", "5", "--max-outer", "3", "--save-model",
-              "--out", str(out)])
+        main(["run", "--task", "franke", "--q", "4", "--max-outer", "3",
+              "--save-model", "--out", str(out)])
         with open(out / "model.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["theta"]
@@ -142,10 +138,9 @@ class TestRun:
     def test_written_values_read_back_bitwise(self, tmp_path):
         out = tmp_path / "o"
         assert main(["run", "--task", "franke", "--loss", "absolute",
-                     "--solver", "glpa", "--q", "4", "--n-train", "20",
-                     "--n-test", "5", "--max-outer", "5", "--save-model",
-                     "--out", str(out)]) == 0
-        train, test = make_franke_datasets(20, 5)
+                     "--solver", "glpa", "--q", "4", "--max-outer", "5",
+                     "--save-model", "--out", str(out)]) == 0
+        train, test = make_franke_datasets()
         shape = NetworkShape(d=2, q=4)
         report = glpa_fit(train.inputs, train.targets, shape, LossKind.ABSOLUTE,
                           SolverConfig(max_outer=5), init_params(shape, "uniform", 0))
@@ -179,19 +174,17 @@ class TestRun:
 
     def test_adaptive_q_used_when_not_given(self, tmp_path):
         out = tmp_path / "o"
-        main(["run", "--task", "franke", "--n-train", "25", "--n-test", "5",
-              "--max-outer", "2", "--out", str(out)])
+        main(["run", "--task", "franke", "--max-outer", "2", "--out", str(out)])
         summary = _read_summary(out)
-        assert summary["q"] == summary["adaptive_q"] == 6  # ceil(24/4)
+        assert summary["q"] == summary["adaptive_q"] == 72  # ceil(288/4)
 
     def test_no_flag_value_leaks_between_main_calls(self, tmp_path):
         # main reuses one parser, so a second call must see fresh defaults
-        argv = ["run", "--task", "franke", "--n-train", "25", "--n-test", "5",
-                "--max-outer", "2"]
+        argv = ["run", "--task", "franke", "--max-outer", "2"]
         assert main([*argv, "--q", "36", "--out", str(tmp_path / "a")]) == 0
         assert main([*argv, "--out", str(tmp_path / "b")]) == 0
         assert _read_summary(tmp_path / "a")["q"] == 36
-        assert _read_summary(tmp_path / "b")["q"] == 6  # ceil(24/4)
+        assert _read_summary(tmp_path / "b")["q"] == 72  # ceil(288/4)
 
     def test_digits_need_the_hinge_loss(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -223,12 +216,7 @@ class TestRun:
          "--noise-sigma"),
         (["run", "--task", "franke", "--normalize"], "--normalize"),
         (["run", "--task", "franke", "--pair", "3,7"], "--pair"),
-        (["run", "--task", "digits", "--loss", "hinge", "--n-train", "50"],
-         "--n-train"),
-        (["run", "--task", "digits", "--loss", "hinge", "--n-test", "5"],
-         "--n-test"),
-    ], ids=["digits-noise-sigma", "franke-normalize", "franke-pair",
-            "digits-n-train", "digits-n-test"])
+    ], ids=["digits-noise-sigma", "franke-normalize", "franke-pair"])
     def test_flag_the_task_ignores_rejected(self, tmp_path, capsys, argv, flag):
         # it would be echoed into summary.json with no effect on the run
         out = tmp_path / "o"
@@ -287,8 +275,8 @@ class TestRun:
         assert len(parsed) == 1
 
     def test_reproducible_reruns(self, tmp_path):
-        args = ["run", "--task", "franke", "--q", "6", "--n-train", "30",
-                "--n-test", "8", "--max-outer", "5", "--seed", "7"]
+        args = ["run", "--task", "franke", "--q", "6", "--max-outer", "5",
+                "--seed", "7"]
         a, b = tmp_path / "a", tmp_path / "b"
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
@@ -308,8 +296,8 @@ class TestRun:
         # stopped before the fit, with the flag's value in the message, not
         # by the first non-finite residual or subproblem matrix
         out = tmp_path / "o"
-        rc = main(["run", "--task", "franke", "--q", "4", "--n-train", "20",
-                   "--n-test", "5", *argv, f"--{flag}", "inf", "--out", str(out)])
+        rc = main(["run", "--task", "franke", "--q", "4", *argv, f"--{flag}", "inf",
+                   "--out", str(out)])
         assert rc == 1
         assert f"{flag}=inf" in capsys.readouterr().err
         assert not out.exists()
@@ -319,8 +307,8 @@ class TestRun:
         # summary.json would echo a bare NaN, which is not JSON
         out = tmp_path / "o"
         rc = main(["run", "--task", "franke", "--solver", "glpa", "--loss",
-                   "absolute", "--step-tol", "nan", "--q", "4", "--n-train", "20",
-                   "--n-test", "5", "--max-outer", "20", "--out", str(out)])
+                   "absolute", "--step-tol", "nan", "--q", "4", "--max-outer", "20",
+                   "--out", str(out)])
         assert rc == 1
         assert "invalid solver config" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
@@ -380,8 +368,8 @@ def test_run_records_blas_threads(tmp_path, numpy_first, expected):
     # Imported after numpy, signet leaves the environment alone (its
     # OpenBLAS has already read it) and records the thread count as unknown.
     out = tmp_path / "o"
-    argv = ["run", "--task", "franke", "--q", "4", "--n-train", "20",
-            "--n-test", "5", "--max-outer", "3", "--out", str(out)]
+    argv = ["run", "--task", "franke", "--q", "4", "--max-outer", "3",
+            "--out", str(out)]
     code = ("import json, os\n" + ("import numpy\n" if numpy_first else "") +
             f"from signet.cli import main\nassert main({argv!r}) == 0\n"
             f"print(json.dumps([os.environ.get(k) for k in {THREAD_VARS!r}]))")
@@ -402,9 +390,8 @@ class TestCompare:
         monkeypatch.setattr(cli_mod, "glpa_fit",
                             lambda *args: glpa_calls.append(args))
         out = tmp_path / "c" / "d"
-        rc = main(["compare", "--task", "franke", "--q", "4", "--n-train", "20",
-                   "--n-test", "5", "--max-outer", "5", "--iters", "5",
-                   "--lr", "inf", "--out", str(out)])
+        rc = main(["compare", "--task", "franke", "--q", "4", "--max-outer", "5",
+                   "--iters", "5", "--lr", "inf", "--out", str(out)])
         assert rc == 1
         assert "lr=inf" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
@@ -415,8 +402,7 @@ class TestCompare:
         # stopped before the fits, not by the first non-finite residual
         out = tmp_path / "o"
         rc = main(["compare", "--task", "franke", "--momentum", value, "--q", "4",
-                   "--n-train", "20", "--n-test", "5", "--max-outer", "5",
-                   "--iters", "5", "--out", str(out)])
+                   "--max-outer", "5", "--iters", "5", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert "invalid hyperparameters" in err and f"momentum={value}" in err
@@ -438,9 +424,8 @@ class TestCompare:
 
         monkeypatch.setattr(solvers_mod, "inner_eval", recording_inner_eval)
         out = tmp_path / "o"
-        rc = main(["compare", "--task", "franke", "--q", "4", "--n-train", "20",
-                   "--n-test", "5", "--max-outer", "5", "--iters", "5", *argv,
-                   f"--{flag}", "inf", "--out", str(out)])
+        rc = main(["compare", "--task", "franke", "--q", "4", "--max-outer", "5",
+                   "--iters", "5", *argv, f"--{flag}", "inf", "--out", str(out)])
         assert rc == 1
         assert f"{flag}=inf" in capsys.readouterr().err
         assert not out.exists()
@@ -448,8 +433,7 @@ class TestCompare:
 
     def test_compare_outputs(self, tmp_path):
         out = tmp_path / "c"
-        rc = main(["compare", "--task", "franke", "--q", "4",
-                   "--n-train", "20", "--n-test", "5", "--max-outer", "5",
+        rc = main(["compare", "--task", "franke", "--q", "4", "--max-outer", "5",
                    "--iters", "20", "--out", str(out)])
         assert rc == 0
         with open(out / "compare.csv", newline="", encoding="utf-8") as fh:
@@ -462,7 +446,7 @@ class TestCompare:
         assert set(summary["final_objectives"]) == {"glpa", "sgdm",
                                                     "rmsprop", "adam"}
         assert all(np.isfinite(v) for v in summary["final_objectives"].values())
-        assert summary["schema_version"] == 8
+        assert summary["schema_version"] == 9
         assert (summary["environment"]["blas_threads"]
                 == os.environ["OPENBLAS_NUM_THREADS"])
         assert summary["environment"]["cpu_count"] == os.cpu_count()

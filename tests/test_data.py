@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from signet.data import (Dataset, NoiseSpec, franke, halton_points,
+from signet.data import (Dataset, franke, halton_points,
                          load_digits_csv, make_binary_task, make_franke_datasets,
                          split_dataset, write_csv)
 
@@ -89,9 +89,8 @@ class TestFrankeDatasets:
         assert np.array_equal(a.targets, b.targets)
 
     def test_noise_bounds_and_mean(self):
-        spec = NoiseSpec(sigma_tilde=100.0, seed=3)
         clean, _ = make_franke_datasets()
-        noisy, test = make_franke_datasets(noise=spec)
+        noisy, test = make_franke_datasets(noise_sigma=100.0, seed=3)
         samples = noisy.targets - clean.targets
         assert np.all(samples >= 0)
         assert np.all(samples <= 3.9894e-3)
@@ -101,14 +100,29 @@ class TestFrankeDatasets:
         assert np.array_equal(test.targets, clean_test.targets)
 
     def test_noise_distribution_uniform(self):
-        spec = NoiseSpec(sigma_tilde=100.0, seed=5)
-        samples = spec.sample(10_000)
-        assert np.all((samples >= 0) & (samples < spec.amplitude))
+        amplitude = 1.0 / (math.sqrt(2.0 * math.pi) * 100.0)
+        clean, _ = make_franke_datasets(n_train=10_000)
+        noisy, _ = make_franke_datasets(n_train=10_000, noise_sigma=100.0, seed=5)
+        samples = noisy.targets - clean.targets
+        assert np.all((samples >= 0) & (samples < amplitude))
         # one-sample Kolmogorov-Smirnov statistic against uniform on [0, amp]
-        u = np.sort(samples / spec.amplitude)
+        u = np.sort(samples / amplitude)
         k = np.arange(1, u.size + 1)
         ks = np.max(np.maximum(k / u.size - u, u - (k - 1) / u.size))
         assert ks < 0.1
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_noise_sigma(self, sigma):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sigma_tilde must be positive and finite, got {sigma}")):
+            make_franke_datasets(noise_sigma=sigma)
+
+    def test_noise_seed_picks_the_draws(self):
+        a, _ = make_franke_datasets(noise_sigma=10.0, seed=4)
+        b, _ = make_franke_datasets(noise_sigma=10.0, seed=4)
+        c, _ = make_franke_datasets(noise_sigma=10.0, seed=5)
+        assert np.array_equal(a.targets, b.targets)
+        assert not np.array_equal(a.targets, c.targets)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError, match="dataset sizes must be >= 1"):

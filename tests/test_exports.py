@@ -5,7 +5,8 @@ harness. A name used only by its own module and the tests stays
 importable from that module, not from `signet`; a product used only by
 the tests belongs to the tests' dense-Jacobian oracles. The experiment
 scripts use no private (`_`-prefixed) name of a signet module, every
-`signet` command is run by a script or a benchmark workload, and no
+`signet` command is run by a script or a benchmark workload and every
+flag is passed by one or by a README command, and no
 library module, script or test file imports a name it never uses. One
 function, `data.write_csv`, writes every CSV file, and the package reads
 one, its bundled digits file. The package defines no exception class: bad
@@ -27,6 +28,7 @@ from signet.cli import build_parser
 from signet.model import ResidualEval
 
 from conftest import load_module
+from test_cli import _readme_cli_commands
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,6 +111,34 @@ def test_every_command_has_a_caller():
                       {inv.argv[0] for workload in workloads.values()
                        for inv in workload.invocations})
     assert sorted(set(subparsers.choices) - run) == []
+
+
+def _script_flags(path: Path) -> set:
+    """The options a script passes the CLI: every string starting with "--"
+    in a list literal."""
+    return {elt.value
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.List) for elt in node.elts
+            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            and elt.value.startswith("--")}
+
+
+def test_every_flag_has_a_caller():
+    # a flag that no experiment script, benchmark workload or README command
+    # passes is a knob with no caller outside its own tests
+    [subparsers] = [action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    flags = {option for parser in subparsers.choices.values()
+             for action in parser._actions for option in action.option_strings
+             if option.startswith("--") and option != "--help"}
+    workloads = load_module(ROOT / "perfbench" / "workloads.py",
+                            "_perfbench_workloads").WORKLOADS
+    passed = set().union(*(_script_flags(path)
+                           for path in sorted((ROOT / "scripts").glob("*.py"))),
+                         *(inv.argv for workload in workloads.values()
+                           for inv in workload.invocations),
+                         *_readme_cli_commands())
+    assert sorted(flags - passed) == []
 
 
 def _unused_imports(path: Path) -> list:
