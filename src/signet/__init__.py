@@ -7,14 +7,14 @@ import sys
 
 # One BLAS thread unless the caller's environment says otherwise. At the
 # subproblem sizes here (m in the hundreds) a second OpenBLAS thread makes a
-# whole fit several times slower (README.md, "One BLAS thread by default",
-# has the measurement). The cause is that numpy and scipy each load their own
-# OpenBLAS, and a fit alternates calls between them (numpy's A @ A.T, then
-# scipy's dsyrk), so the two libraries' thread pools contend for the CPUs.
-# It also changes results in the last bits.
+# whole fit about 1.6 times slower (README.md, "One BLAS thread by default",
+# has the measurement): each threaded call costs more to split than it
+# saves. signet's own kernels (signet/linalg.py) come from the one OpenBLAS
+# numpy loads, so there is one thread pool. A second thread also changes
+# results in the last bits.
 # OpenBLAS reads the variables once, when numpy loads it; if numpy is already
-# loaded, setting them would pin only the scipy OpenBLAS loaded later, a
-# mixed state, so the environment is left alone and _blas_threads is None.
+# loaded, setting them would have no effect, so the environment is left
+# alone and _blas_threads is None.
 if "numpy" in sys.modules:
     _blas_threads = None
 else:

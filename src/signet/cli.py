@@ -21,18 +21,18 @@ import time
 from pathlib import Path
 
 import numpy
-import scipy
 
 from . import _blas_threads
 from . import data as data_mod
 from . import diagnostics
+from .linalg import BLAS_CONFIG
 from .losses import LossKind
 from .model import NetworkShape, init_params, inner_eval, predict
 from .solvers import (BASELINES, FitReport, IterationRecord, SolverConfig,
                       baseline_fit, glpa_fit, lpa_fit)
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 # the flags one task alone reads, each with that task and its default; any
@@ -162,11 +162,12 @@ def _metrics(theta, shape, loss, train, test):
 
 def _environment() -> dict:
     """What a run's last bits and its timings depend on besides its config:
-    the library versions, the OPENBLAS_NUM_THREADS value signet loaded
-    numpy under (None when numpy was loaded before signet; see
+    the Python and numpy versions, numpy's OpenBLAS build with the core
+    type whose kernels it picked, the OPENBLAS_NUM_THREADS value signet
+    loaded numpy under (None when numpy was loaded before signet; see
     signet/__init__.py) and the CPU count."""
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "blas_threads": _blas_threads,
+            "blas": BLAS_CONFIG, "blas_threads": _blas_threads,
             "cpu_count": os.cpu_count()}
 
 

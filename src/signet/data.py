@@ -75,7 +75,7 @@ def make_franke_datasets(n_train: int = 289, n_test: int = 121,
     y = franke(X[:, 0], X[:, 1])
     if noise_sigma is not None:
         if not 0 < noise_sigma < math.inf:
-            raise ValueError(f"sigma_tilde must be positive and finite, "
+            raise ValueError(f"noise_sigma must be positive and finite, "
                              f"got {noise_sigma}")
         amplitude = 1.0 / (math.sqrt(2.0 * math.pi) * noise_sigma)
         y[:n_train] += amplitude * np.random.default_rng(seed).uniform(

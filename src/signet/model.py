@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
+from .linalg import syrk
 from .losses import LossKind
 
 
@@ -84,7 +84,7 @@ class ResidualEval:
         K = A @ A.T
         K *= G
         K *= alpha
-        return dsyrk(alpha, Sh, beta=1.0, c=K.T, lower=1, overwrite_c=1)
+        return syrk(alpha, Sh, K.T)
 
     def jtr(self, r: np.ndarray) -> np.ndarray:
         """J^T r, formed in O(m*q*d) from the hidden-layer activations

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import signet.cli as cli_mod
 import signet.solvers as solvers_mod
@@ -73,10 +72,10 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 9
+        assert summary["schema_version"] == 10
         assert summary["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "blas": cli_mod.BLAS_CONFIG,
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
             "cpu_count": os.cpu_count()}
         assert summary["q"] == 8
@@ -230,7 +229,7 @@ class TestRun:
         rc = main(["run", "--task", "franke", "--noise-sigma", value,
                    "--out", str(out)])
         assert rc == 1
-        assert (f"sigma_tilde must be positive and finite, got {value}"
+        assert (f"noise_sigma must be positive and finite, got {value}"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -345,11 +344,32 @@ def _fresh_python(code, **thread_env):
     return proc.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_special_out():
-    # scipy.special adds about 3.7 MB to a process's peak RSS, more than the
-    # benchmark's 5% bound on peak_rss_mb; signet's sigmoid does without it.
-    code = "import sys, signet.cli; print('scipy.special' in sys.modules)"
-    assert _fresh_python(code) == "False"
+def test_cli_loads_no_scipy_and_one_openblas(tmp_path):
+    # signet's dense kernels come from the OpenBLAS numpy loads: a run
+    # imports no scipy module (its import alone costs about 28 MB of peak
+    # RSS) and maps no second OpenBLAS, whose thread pool would contend
+    # with numpy's. environment.blas is the config string of that library,
+    # read here through its own entry point.
+    out = tmp_path / "o"
+    argv = ["run", "--task", "franke", "--loss", "absolute", "--solver", "glpa",
+            "--q", "4", "--max-outer", "3", "--out", str(out)]
+    code = f"""
+import ctypes, json, os, sys
+from signet.cli import main
+assert main({argv!r}) == 0
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    blas = sorted({{line.split()[-1] for line in fh
+                   if "openblas" in os.path.basename(line.split()[-1]).lower()}})
+get_config = ctypes.CDLL(blas[0]).scipy_openblas_get_config64_
+get_config.restype = ctypes.c_char_p
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  blas, " ".join(get_config().decode().split())]))
+"""
+    scipy_modules, blas, config = json.loads(_fresh_python(code).splitlines()[-1])
+    assert scipy_modules == []
+    assert len(blas) == 1
+    assert _read_summary(out)["environment"]["blas"] == config
+    assert config.startswith("OpenBLAS ") and "USE64BITINT" in config
 
 
 @pytest.mark.parametrize("thread_env, expected", [
@@ -446,7 +466,7 @@ class TestCompare:
         assert set(summary["final_objectives"]) == {"glpa", "sgdm",
                                                     "rmsprop", "adam"}
         assert all(np.isfinite(v) for v in summary["final_objectives"].values())
-        assert summary["schema_version"] == 9
+        assert summary["schema_version"] == 10
         assert (summary["environment"]["blas_threads"]
                 == os.environ["OPENBLAS_NUM_THREADS"])
         assert summary["environment"]["cpu_count"] == os.cpu_count()

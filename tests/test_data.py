@@ -114,7 +114,7 @@ class TestFrankeDatasets:
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_noise_sigma(self, sigma):
         with pytest.raises(ValueError, match=re.escape(
-                f"sigma_tilde must be positive and finite, got {sigma}")):
+                f"noise_sigma must be positive and finite, got {sigma}")):
             make_franke_datasets(noise_sigma=sigma)
 
     def test_noise_seed_picks_the_draws(self):

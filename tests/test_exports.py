@@ -11,7 +11,8 @@ library module, script or test file imports a name it never uses. One
 function, `data.write_csv`, writes every CSV file, and the package reads
 one, its bundled digits file. The package defines no exception class: bad
 input raises the built-in errors, which is all a caller catches. The
-declared numpy floor covers the numpy API the package uses."""
+declared numpy floor covers the numpy API the package uses, and the
+package imports no scipy module: numpy is its one dependency."""
 
 import argparse
 import ast
@@ -240,3 +241,18 @@ def test_declared_numpy_floor_has_the_api_used():
                for dep in project["project"]["dependencies"]
                if dep.startswith("numpy")]
     assert floor is not None and int(floor.group(1)) >= 2
+
+
+def test_package_imports_no_scipy():
+    # the dense kernels come from numpy's own OpenBLAS (signet/linalg.py);
+    # scipy is a test dependency only, for the tests' oracles
+    found = []
+    for path in sorted((ROOT / "src" / "signet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []

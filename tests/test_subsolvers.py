@@ -42,18 +42,21 @@ def reference_admm(ev, t, loss, cfg):
 
 
 def triangular_pair(factor, w):
-    """K^{-1} w from cho_factor's lower factor L: L y = w, then L^T z = y."""
+    """K^{-1} w from the lower factor (L, True): L y = w, then L^T z = y."""
     L = factor[0]
     return scipy.linalg.solve_triangular(
         L, scipy.linalg.solve_triangular(L, w, lower=True), trans="T", lower=True)
 
 
 def reference_cholesky(ev, t, loss, cfg, solve=triangular_pair):
-    """The subsolvers' residual-space arithmetic through scipy's wrappers:
-    cho_factor on the C-ordered K, then `solve`, by default a
-    solve_triangular pair, and np.linalg.norm. The oracle for the bitwise
-    contract: the subsolvers hand the same values to the same LAPACK and
-    BLAS routines in the same order, so they must agree to the last bit.
+    """The subsolvers' residual-space arithmetic through numpy's and
+    scipy's wrappers: np.linalg.cholesky of the C-ordered K, which calls
+    dpotrf in the OpenBLAS the program uses, copied to Fortran order, then
+    `solve` with (L, True), by default a solve_triangular pair, and
+    np.linalg.norm. The oracle for the bitwise contract: the subsolvers
+    hand the same values to the same LAPACK and BLAS routines in the same
+    order, so they must agree to the last bit. (A C-ordered L would send
+    solve_triangular down its transposed path, whose bits differ.)
     Both return by the same identity from z = K^{-1} b, with b = -F for LM
     (one solve) and b = w for ADMM's last iterate: J dtheta = b - z,
     dtheta = t c J^T z and ||dtheta||^2/(2t) = c z^T (J dtheta)/2."""
@@ -62,7 +65,7 @@ def reference_cholesky(ev, t, loss, cfg, solve=triangular_pair):
     K = J @ J.T
     K *= t * c
     K[np.diag_indices_from(K)] += 1.0
-    factor = scipy.linalg.cho_factor(K, lower=True)
+    factor = np.asfortranarray(np.linalg.cholesky(K)), True
     it, r_norm, s_norm, converged = 0, 0.0, 0.0, True
     if loss is LossKind.QUADRATIC:
         b = -F
@@ -91,10 +94,10 @@ def reference_cholesky(ev, t, loss, cfg, solve=triangular_pair):
 
 
 def _count_linalg(monkeypatch):
-    """Count the subsolvers' factorizations (scipy.linalg.cho_factor) and
-    single triangular solves (their dtrsv binding), two to a solve with K."""
+    """Count the subsolvers' factorizations (potrf) and solves with K (a
+    trsv_pair each), bound from signet.linalg."""
     import signet.subsolvers as sub
-    calls = {"cho_factor": 0, "dtrsv": 0}
+    calls = {"potrf": 0, "trsv_pair": 0}
 
     def counting(host, name):
         real = getattr(host, name)
@@ -104,8 +107,8 @@ def _count_linalg(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(host, name, counted)
 
-    counting(sub.scipy.linalg, "cho_factor")
-    counting(sub, "dtrsv")
+    counting(sub, "potrf")
+    counting(sub, "trsv_pair")
     return calls
 
 
@@ -148,7 +151,7 @@ class TestLmStep:
     def test_one_factorization_one_solve(self, rng, monkeypatch):
         calls = _count_linalg(monkeypatch)
         lm_step(_random_eval(rng, 8, 8), 10.0)
-        assert calls == {"cho_factor": 1, "dtrsv": 2}
+        assert calls == {"potrf": 1, "trsv_pair": 1}
 
 
 @pytest.mark.parametrize("solve", [
@@ -240,7 +243,7 @@ class TestAdmm:
         _, tr = admm_solve(ev, 10.0, LossKind.ABSOLUTE,
                            AdmmConfig(rho=0.1, eps=1e-12, max_iters=50))
         assert tr.iterations == 50
-        assert calls == {"cho_factor": 1, "dtrsv": 2 * 50}
+        assert calls == {"potrf": 1, "trsv_pair": 50}
 
     @pytest.mark.parametrize("loss", [LossKind.ABSOLUTE, LossKind.HINGE])
     @pytest.mark.parametrize("m, n", [(6, 10), (8, 8), (12, 5)],
