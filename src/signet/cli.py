@@ -22,17 +22,16 @@ from pathlib import Path
 
 import numpy
 
-from . import _blas_threads
 from . import data as data_mod
 from . import diagnostics
-from .linalg import BLAS_CONFIG
+from .linalg import BLAS_CONFIG, num_threads
 from .losses import LossKind
 from .model import NetworkShape, init_params, inner_eval, predict
 from .solvers import (BASELINES, FitReport, IterationRecord, SolverConfig,
                       baseline_fit, glpa_fit, lpa_fit)
 from .subsolvers import AdmmConfig
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 # the flags one task alone reads, each with that task and its default; any
@@ -163,11 +162,11 @@ def _metrics(theta, shape, loss, train, test):
 def _environment() -> dict:
     """What a run's last bits and its timings depend on besides its config:
     the Python and numpy versions, numpy's OpenBLAS build with the core
-    type whose kernels it picked, the OPENBLAS_NUM_THREADS value signet
-    loaded numpy under (None when numpy was loaded before signet; see
-    signet/__init__.py) and the CPU count."""
+    type whose kernels it picked, the thread count read back from that
+    library (1 unless OPENBLAS_NUM_THREADS names one; see signet/linalg.py)
+    and the CPU count."""
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "blas": BLAS_CONFIG, "blas_threads": _blas_threads,
+            "blas": BLAS_CONFIG, "blas_threads": num_threads(),
             "cpu_count": os.cpu_count()}
 
 

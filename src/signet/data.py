@@ -100,32 +100,28 @@ def make_binary_task(digits, digit_pos: int, digit_neg: int,
                      train_fraction: float = 0.7, seed: int = 0,
                      normalize: bool = False) -> tuple[Dataset, Dataset]:
     """Two-digit classification split of load_digits_csv's (pixels, labels):
-    the pair's rows in file order, digit_pos -> +1, digit_neg -> -1, split
-    by split_dataset. The normalize flag divides pixels by 16."""
+    the pair's rows in file order, digit_pos -> +1, digit_neg -> -1, then a
+    seeded shuffle, floor(train_fraction * m) rows for training and the rest
+    for testing; both parts must be non-empty. The normalize flag divides
+    pixels by 16."""
     pixels, labels = digits
     if digit_pos == digit_neg:
         raise ValueError("the two digits must differ")
+    if not math.isfinite(train_fraction):
+        raise ValueError(f"degenerate split: train fraction {train_fraction}")
     for digit in (digit_pos, digit_neg):
         if not np.any(labels == digit):
             raise ValueError(f"digit {digit} absent from the labels")
     keep = (labels == digit_pos) | (labels == digit_neg)
     X = pixels[keep] / 16.0 if normalize else pixels[keep]
-    full = Dataset(X, np.where(labels[keep] == digit_pos, 1.0, -1.0))
-    return split_dataset(full, train_fraction, seed)
-
-
-def split_dataset(ds: Dataset, train_fraction: float,
-                  seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle of the rows, then floor(train_fraction * m) of them
-    for training and the rest for testing; both parts must be non-empty."""
-    if not math.isfinite(train_fraction):
-        raise ValueError(f"degenerate split: train fraction {train_fraction}")
-    perm = np.random.default_rng(seed).permutation(ds.m)
+    y = np.where(labels[keep] == digit_pos, 1.0, -1.0)
+    m = y.size
     # tiny epsilon keeps e.g. 0.7*360 from flooring to 251
-    n_train = int(math.floor(train_fraction * ds.m + 1e-9))
-    if n_train < 1 or n_train >= ds.m:
-        raise ValueError(f"degenerate split: {n_train} of {ds.m}")
-    X, y = ds.inputs[perm], ds.targets[perm]
+    n_train = int(math.floor(train_fraction * m + 1e-9))
+    if n_train < 1 or n_train >= m:
+        raise ValueError(f"degenerate split: {n_train} of {m}")
+    perm = np.random.default_rng(seed).permutation(m)
+    X, y = X[perm], y[perm]
     return Dataset(X[:n_train], y[:n_train]), Dataset(X[n_train:], y[n_train:])
 
 

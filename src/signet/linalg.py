@@ -1,20 +1,23 @@
 """The three dense kernels of the subproblem solves, bound through ctypes
 from the OpenBLAS that numpy itself loads: syrk forms J J^T, potrf factors
-K = I + t c J J^T, and a dtrsv pair solves with the factor.
+K = I + t c J J^T, and a dtrsv pair solves with the factor; and that
+library's thread count, which this module sets to one at import.
 
 numpy's Linux wheels bundle scipy-openblas64, an ILP64 OpenBLAS whose
 symbols carry a `scipy_` prefix and a `64_` suffix; numpy's extension
 module lists it as a dependency, so dlsym through that module finds them.
-Every integer argument is a 64-bit int. Each binding checks dtype, memory
-order and shape before it passes a pointer, and raises ValueError
-otherwise. The routines are called without ctypes argtypes, each argument
-wrapped by hand in its C type: declared argtypes would convert every
-argument again on every call, in the ADMM loop too.
+Every integer argument of the kernels is a 64-bit int; the thread count is
+a C int. Each binding checks dtype, memory order and shape before it
+passes a pointer, and raises ValueError otherwise. The routines are called
+without ctypes argtypes, each argument wrapped by hand in its C type:
+declared argtypes would convert every argument again on every call, in
+the ADMM loop too.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 
 import numpy as np
 from numpy._core import _multiarray_umath
@@ -25,12 +28,16 @@ try:
     _dpotrf = _lib.scipy_dpotrf_64_     # Fortran entry: no LAPACKE NaN scan
     _dtrsv = _lib.scipy_cblas_dtrsv64_
     _get_config = _lib.scipy_openblas_get_config64_
+    _set_num_threads = _lib.scipy_openblas_set_num_threads64_
+    _get_num_threads = _lib.scipy_openblas_get_num_threads64_
 except AttributeError as exc:
     raise ImportError(
         "signet needs a numpy that bundles scipy-openblas64, as numpy's Linux "
         f"wheels do; {_multiarray_umath.__file__} lacks {exc}") from None
 _dsyrk.restype = _dpotrf.restype = _dtrsv.restype = None
 _get_config.restype = ctypes.c_char_p
+_set_num_threads.restype = None
+_get_num_threads.restype = ctypes.c_int
 
 # CBLAS enumerations, passed as C ints
 _COL_MAJOR, _NO_TRANS, _TRANS, _LOWER, _NON_UNIT = 102, 111, 112, 122, 131
@@ -42,6 +49,18 @@ _LOWER_CHAR = ctypes.c_char_p(b"L")
 # "OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX
 # MAX_THREADS=64"
 BLAS_CONFIG = " ".join(_get_config().decode().split())
+
+# One thread unless OPENBLAS_NUM_THREADS names a count, which OpenBLAS read
+# when numpy loaded it. At the subproblem sizes here a second thread makes a
+# fit slower and moves its last bits (README.md, "One BLAS thread by
+# default"). The setting is process-wide, as the variable's would be.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    _set_num_threads(ctypes.c_int(1))
+
+
+def num_threads() -> int:
+    """The thread count numpy's OpenBLAS runs with, read from the library."""
+    return _get_num_threads()
 
 
 def _pointer(a: np.ndarray):
@@ -111,11 +130,13 @@ def trsv_pair(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     this is half the time of LAPACK's Cholesky solve at m ~ 300, and equal
     to it to rounding. The checks are one test when they pass, for the
     ADMM loop."""
-    m = len(b)
-    if not (L.dtype == _F64 and b.dtype == _F64 and L.shape == (m, m)
-            and b.ndim == 1 and L.flags.f_contiguous and L.flags.writeable):
-        _check("b", b, (m,), fortran=False)
+    if not (isinstance(L, np.ndarray) and isinstance(b, np.ndarray)
+            and b.ndim == 1 and L.shape == (b.size, b.size) and L.dtype == _F64
+            and b.dtype == _F64 and L.flags.f_contiguous and L.flags.writeable):
+        m = _matrix("L", L)[0]
         _check("L", L, (m, m))
+        _check("b", b, (m,), fortran=False)
+    m = len(b)
     z = b.copy()
     n, ld, a, x = ctypes.c_int64(m), ctypes.c_int64(max(m, 1)), _pointer(L.T), _pointer(z)
     _dtrsv(_COL_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, n, a, ld, x, _ONE)

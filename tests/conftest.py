@@ -1,8 +1,3 @@
-# signet first, before numpy: its import sets the one-BLAS-thread default,
-# which applies only if numpy is not loaded yet, so the suite runs on the
-# thread count signet ships with.
-import signet  # noqa: F401
-
 import importlib.util
 import sys
 from dataclasses import dataclass

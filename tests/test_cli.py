@@ -72,11 +72,10 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0
         summary = _read_summary(out)
-        assert summary["schema_version"] == 10
+        assert summary["schema_version"] == 11
         assert summary["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
-            "blas": cli_mod.BLAS_CONFIG,
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+            "blas": cli_mod.BLAS_CONFIG, "blas_threads": cli_mod.num_threads(),
             "cpu_count": os.cpu_count()}
         assert summary["q"] == 8
         assert summary["iterations"] <= 10
@@ -373,28 +372,54 @@ print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
 
 
 @pytest.mark.parametrize("thread_env, expected", [
-    ({}, ["1", "1", "1"]),
-    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "2"]),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, ["2", "2", "2"]),
+    ({}, [[], 1]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, [[], 2]),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, [[], 2]),
 ])
 def test_import_defaults_to_one_blas_thread(thread_env, expected):
-    code = ("import json, os, signet; print(json.dumps([os.environ.get(k) for k in "
-            f"{THREAD_VARS!r}] + [signet._blas_threads]))")
+    # the count is set in numpy's OpenBLAS: the import adds no variable to
+    # the caller's environment
+    code = ("import json, os\nbefore = set(os.environ)\nimport signet.linalg\n"
+            "print(json.dumps([sorted(set(os.environ) - before), "
+            "signet.linalg.num_threads()]))")
     assert json.loads(_fresh_python(code, **thread_env)) == expected
 
 
-@pytest.mark.parametrize("numpy_first, expected", [(False, "1"), (True, None)])
-def test_run_records_blas_threads(tmp_path, numpy_first, expected):
-    # Imported after numpy, signet leaves the environment alone (its
-    # OpenBLAS has already read it) and records the thread count as unknown.
-    out = tmp_path / "o"
-    argv = ["run", "--task", "franke", "--q", "4", "--max-outer", "3",
-            "--out", str(out)]
-    code = ("import json, os\n" + ("import numpy\n" if numpy_first else "") +
-            f"from signet.cli import main\nassert main({argv!r}) == 0\n"
-            f"print(json.dumps([os.environ.get(k) for k in {THREAD_VARS!r}]))")
-    assert json.loads(_fresh_python(code).splitlines()[-1]) == [expected, expected]
-    assert _read_summary(out)["environment"]["blas_threads"] == expected
+def _run_in_fresh_python(out, numpy_first, argv=("--q", "4", "--max-outer", "3"),
+                         **thread_env):
+    """summary.json of `signet run --task franke` in a new interpreter that
+    imports numpy before signet if numpy_first."""
+    argv = ["run", "--task", "franke", *argv, "--out", str(out)]
+    code = (("import numpy\n" if numpy_first else "") +
+            f"from signet.cli import main\nassert main({argv!r}) == 0")
+    _fresh_python(code, **thread_env)
+    return _read_summary(out)
+
+
+@pytest.mark.parametrize("numpy_first, thread_env, expected", [
+    (False, {}, 1), (True, {}, 1),
+    (False, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+    (True, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+], ids=["signet-first", "numpy-first", "signet-first-2-threads",
+        "numpy-first-2-threads"])
+def test_run_records_blas_threads(tmp_path, numpy_first, thread_env, expected):
+    summary = _run_in_fresh_python(tmp_path / "o", numpy_first, **thread_env)
+    assert summary["environment"]["blas_threads"] == expected
+
+
+def test_import_order_leaves_outputs_bitwise_equal(tmp_path):
+    # numpy's OpenBLAS defaults to a thread per CPU; the fit's last bits
+    # depend on the count, so both orders must fit on signet's one thread
+    argv = ("--loss", "absolute", "--solver", "glpa", "--max-outer", "20",
+            "--save-model")
+    outputs = []
+    for numpy_first in (False, True):
+        out = tmp_path / str(numpy_first)
+        _run_in_fresh_python(out, numpy_first, argv)
+        trace = [{k: v for k, v in row.items() if k != "elapsed_s"}
+                 for row in _read_trace(out)]
+        outputs.append((trace, (out / "model.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 class TestCompare:
@@ -466,7 +491,6 @@ class TestCompare:
         assert set(summary["final_objectives"]) == {"glpa", "sgdm",
                                                     "rmsprop", "adam"}
         assert all(np.isfinite(v) for v in summary["final_objectives"].values())
-        assert summary["schema_version"] == 10
-        assert (summary["environment"]["blas_threads"]
-                == os.environ["OPENBLAS_NUM_THREADS"])
+        assert summary["schema_version"] == 11
+        assert summary["environment"]["blas_threads"] == cli_mod.num_threads()
         assert summary["environment"]["cpu_count"] == os.cpu_count()

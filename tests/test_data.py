@@ -9,7 +9,7 @@ import pytest
 
 from signet.data import (Dataset, franke, halton_points,
                          load_digits_csv, make_binary_task, make_franke_datasets,
-                         split_dataset, write_csv)
+                         write_csv)
 
 from conftest import reference_halton_points
 
@@ -160,15 +160,15 @@ class TestDigits:
         assert train.inputs.max() <= 1.0
 
     def test_pair_rows_in_file_order(self):
+        # train then test rows are the pair's rows in file order, shuffled
         pixels, labels = load_digits_csv()
         rows = np.flatnonzero(np.isin(labels, (3, 7)))
-        full, _ = make_binary_task((pixels, labels), 3, 7,
-                                   train_fraction=(rows.size - 1) / rows.size)
-        assert full.m == rows.size - 1
-        order = np.random.default_rng(0).permutation(rows.size)[:full.m]
-        assert np.array_equal(full.inputs, pixels[rows[order]])
-        assert np.array_equal(full.targets,
-                              np.where(labels[rows[order]] == 3, 1.0, -1.0))
+        train, test = make_binary_task((pixels, labels), 3, 7)
+        order = rows[np.random.default_rng(0).permutation(rows.size)]
+        assert np.array_equal(np.concatenate([train.inputs, test.inputs]),
+                              pixels[order])
+        assert np.array_equal(np.concatenate([train.targets, test.targets]),
+                              np.where(labels[order] == 3, 1.0, -1.0))
 
     def test_label_mapping_and_reproducibility(self):
         digits = load_digits_csv()
@@ -216,12 +216,13 @@ class TestSplit:
         (math.inf, "degenerate split: train fraction inf"),
     ], ids=["0.7", "1.0", "nan", "inf"])
     def test_split_dataset(self, fraction, outcome):
-        ds = Dataset(np.arange(180.0).reshape(90, 2), np.ones(90))
+        # 90 rows of a made-up two-digit file, split by make_binary_task
+        digits = np.arange(180.0).reshape(90, 2), np.arange(90) % 2
         if isinstance(outcome, str):
             with pytest.raises(ValueError, match=re.escape(outcome)):
-                split_dataset(ds, fraction, 0)
+                make_binary_task(digits, 0, 1, fraction)
         else:
-            train, test = split_dataset(ds, fraction, 0)
+            train, test = make_binary_task(digits, 0, 1, fraction)
             assert (train.m, test.m) == outcome
 
 

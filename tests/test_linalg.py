@@ -95,6 +95,9 @@ BAD_CALLS = {
     "float32 b": lambda K, L, A, b: trsv_pair(L, _f32(b)),
     "short b": lambda K, L, A, b: trsv_pair(L, b[:4]),
     "2-D b": lambda K, L, A, b: trsv_pair(L, b[:, None]),
+    "list b": lambda K, L, A, b: trsv_pair(L, b.tolist()),
+    "0-d b": lambda K, L, A, b: trsv_pair(L, np.float64(1.0)),
+    "list L": lambda K, L, A, b: trsv_pair(L.tolist(), b),
 }
 
 
