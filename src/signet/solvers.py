@@ -172,38 +172,34 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind, theta0,
     inputs, targets, theta0 = _fit_arrays(inputs, targets, theta0, shape)
 
     thetas = np.tile(theta0, (len(BASELINES), 1))
-    vel, sq, mom1 = ([np.zeros(shape.n) for _ in BASELINES] for _ in range(3))
+    # SGDM's velocity, RMSProp's square average and velocity, Adam's moments
+    sgdm_vel, rms_sq, rms_vel, adam_m, adam_v = np.zeros((5, shape.n))
     eps = 1e-8
     traces: list[list[IterationRecord]] = [[] for _ in BASELINES]
     start = time.perf_counter()
-    for k in range(iters):
-        ev = inner_eval(thetas, shape, inputs, targets, loss)
-        grads = ev.jtr(outer_gradient(ev.F, loss))
-        rows = []
-        for p, name in enumerate(BASELINES):
-            g = grads[p]
-            if name == "sgdm":
-                vel[p] = momentum * vel[p] + g
-                step = -lr * vel[p]
-            elif name == "rmsprop":
-                # square-average smoothing fixed at 0.99; `momentum` drives the
-                # heavy-ball buffer on the preconditioned gradient
-                sq[p] = 0.99 * sq[p] + 0.01 * g * g
-                vel[p] = momentum * vel[p] + g / (np.sqrt(sq[p]) + eps)
-                step = -lr * vel[p]
-            else:  # adam
-                mom1[p] = 0.9 * mom1[p] + 0.1 * g
-                sq[p] = 0.999 * sq[p] + 0.001 * g * g
-                mhat = mom1[p] / (1.0 - 0.9 ** (k + 1))
-                vhat = sq[p] / (1.0 - 0.999 ** (k + 1))
-                step = -lr * mhat / (np.sqrt(vhat) + eps)
-            thetas[p] += step
-            # the 2-norm as np.linalg.norm forms it, without its overhead
-            rows.append((outer_value(ev.F[p], loss), math.sqrt(step @ step)))
-        elapsed = time.perf_counter() - start
-        for trace, (obj, step_norm) in zip(traces, rows):
-            trace.append(IterationRecord(k, obj, step_norm, 1.0, 0, elapsed))
-    F = inner_eval(thetas, shape, inputs, targets, loss).F
-    return [FitReport(theta_star=thetas[p], trace=traces[p], stop_reason="max_outer",
-                      final_objective=outer_value(F[p], loss))
-            for p in range(len(BASELINES))]
+    # an overflowing step norm or objective is inf here, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            ev = inner_eval(thetas, shape, inputs, targets, loss)
+            g_sgdm, g_rms, g_adam = ev.jtr(outer_gradient(ev.F, loss))
+            sgdm_vel = momentum * sgdm_vel + g_sgdm
+            # square-average smoothing fixed at 0.99; `momentum` drives the
+            # heavy-ball buffer on the preconditioned gradient
+            rms_sq = 0.99 * rms_sq + 0.01 * g_rms * g_rms
+            rms_vel = momentum * rms_vel + g_rms / (np.sqrt(rms_sq) + eps)
+            adam_m = 0.9 * adam_m + 0.1 * g_adam
+            adam_v = 0.999 * adam_v + 0.001 * g_adam * g_adam
+            mhat = adam_m / (1.0 - 0.9 ** (k + 1))
+            vhat = adam_v / (1.0 - 0.999 ** (k + 1))
+            # in BASELINES order
+            steps = (-lr * sgdm_vel, -lr * rms_vel, -lr * mhat / (np.sqrt(vhat) + eps))
+            elapsed = time.perf_counter() - start
+            for theta, step, f, trace in zip(thetas, steps, ev.F, traces):
+                theta += step
+                # the 2-norm as np.linalg.norm forms it, without its overhead
+                trace.append(IterationRecord(k, outer_value(f, loss),
+                                             math.sqrt(step @ step), 1.0, 0, elapsed))
+        final = inner_eval(thetas, shape, inputs, targets, loss)
+        return [FitReport(theta_star=theta, trace=trace, stop_reason="max_outer",
+                          final_objective=outer_value(f, loss))
+                for theta, trace, f in zip(thetas, traces, final.F)]

@@ -1,11 +1,13 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signet.data import load_digits_csv, make_binary_task, make_franke_datasets
 from signet.losses import LossKind, outer_value
 import signet.model as model_mod
 import signet.solvers as solvers_mod
@@ -518,6 +520,28 @@ class TestBaselines:
         # the rows of one iteration share one clock
         assert all(a.elapsed_s == b.elapsed_s == c.elapsed_s
                    for a, b, c in zip(*(rep.trace for rep in reports)))
+
+    def test_overflowing_steps_give_infinite_step_norms(self):
+        # at lr = 1e160 each step's squared norm overflows: the norm is inf,
+        # with no RuntimeWarning, while the iterates stay finite
+        train, _ = make_binary_task(load_digits_csv(), 0, 1, seed=0, normalize=True)
+        shape = NetworkShape(d=64, q=4)
+        reports = baseline_fit(train.inputs, train.targets, shape, LossKind.HINGE,
+                               init_params(shape, "uniform", 0), lr=1e160, iters=3)
+        assert len(reports) == 3
+        for rep in reports:
+            assert [r.step_norm for r in rep.trace] == [math.inf] * 3
+            assert math.isfinite(rep.final_objective)
+
+    def test_overflowing_objective_is_inf(self):
+        # at lr = 1e100 SGDM's squared residuals overflow by its third
+        # iteration: the objective and final objective are inf, no warning
+        train, _ = make_franke_datasets()
+        shape = NetworkShape(d=2, q=4)
+        sgdm = baseline_fit(train.inputs, train.targets, shape, LossKind.QUADRATIC,
+                            init_params(shape, "uniform", 0), lr=1e100, iters=3)[0]
+        assert [math.isfinite(r.objective) for r in sgdm.trace] == [True, True, False]
+        assert sgdm.final_objective == math.inf
 
     def test_invalid_hyperparameters(self, rng):
         shape, X, y = _one_point_problem()
