@@ -28,13 +28,19 @@ def outer_value(z: np.ndarray, loss: LossKind) -> float:
         raise ValueError(f"residual must be a vector, got shape {z.shape}")
     if z.size == 0:
         raise ValueError("empty residual vector")
-    m = z.shape[0]
+    return float(outer_values(z, loss))
+
+
+def outer_values(z: np.ndarray, loss: LossKind) -> np.ndarray:
+    """outer_value of each row of a (..., m) float array, in one reduction;
+    row p is, bit for bit, outer_value of row p alone."""
+    m = z.shape[-1]
     if loss is LossKind.QUADRATIC:
-        return float(z @ z) / m
+        return np.vecdot(z, z) / m
     if loss is LossKind.ABSOLUTE:
-        return float(np.abs(z).sum()) / m
+        return np.add.reduce(np.abs(z), axis=-1) / m
     if loss is LossKind.HINGE:
-        return float(np.maximum(1.0 - z, 0.0).sum()) / m
+        return np.add.reduce(np.maximum(1.0 - z, 0.0), axis=-1) / m
     raise ValueError(f"unknown loss {loss!r}")
 
 

@@ -53,7 +53,7 @@ class ResidualEval:
     input_gram: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.F)):
+        if not np.isfinite(self.F).all():
             raise FloatingPointError("non-finite entries in residual evaluation")
 
     @property
@@ -89,16 +89,24 @@ class ResidualEval:
     def jtr(self, r: np.ndarray) -> np.ndarray:
         """J^T r, formed in O(m*q*d) from the hidden-layer activations
         without building J. For stacked parameters, r is (P, m) and row p
-        of the (P, n) result is J_p^T r_p."""
-        S, w = self.S, self.w
-        lead = S.shape[:-2]
+        of the (P, n) result is J_p^T r_p. The four blocks are written into
+        one result array."""
+        S, w, X = self.S, self.w, self.X
+        *lead, m, q = S.shape
+        qd = q * X.shape[1]
         if self.sign is not None:
             r = self.sign * r
-        Spr = S * (1.0 - S) * r[..., None]    # sigmoid'(A) scaled by r
-        return np.concatenate([
-            (r[..., None, :] @ S)[..., 0, :],
-            (w[..., None] * (Spr.mT @ self.X)).reshape(*lead, -1),
-            w * Spr.sum(axis=-2), r.sum(axis=-1)[..., None]], axis=-1)
+        Spr = 1.0 - S                   # sigmoid'(A) scaled by r
+        Spr *= S
+        Spr *= r[..., None]
+        out = np.empty((*lead, qd + 2 * q + 1))
+        out[..., :q] = (r[..., None, :] @ S)[..., 0, :]
+        VX = Spr.mT @ X
+        VX *= w[..., None]
+        out[..., q:q + qd] = VX.reshape(*lead, qd)
+        np.multiply(w, np.add.reduce(Spr, axis=-2), out=out[..., q + qd:-1])
+        out[..., -1] = np.add.reduce(r, axis=-1)
+        return out
 
     def jacobian(self) -> np.ndarray:
         """The Jacobian J of the residual map, rows grad f(x_i) scaled by
@@ -121,11 +129,18 @@ def sigmoid(a):
     as exp(min(a, 0)) / (1 + exp(-|a|)). That is, bit for bit, the masked
     form e/(1+e) for a < 0 and 1/(1+e) otherwise, e = exp(-|a|): the
     numerator exp(min(a, 0)) is exp(a) = e for a < 0 and exp(0) = 1.0
-    otherwise. No argument of exp is positive, so nothing overflows."""
+    otherwise. No argument of exp is positive, so nothing overflows. The
+    numerator is formed in the result and the denominator in one scratch
+    array; a scalar gives a numpy scalar."""
     a = np.asarray(a, dtype=float)
-    out = np.exp(np.minimum(a, 0.0))
-    out /= 1.0 + np.exp(-np.abs(a))
-    return out
+    out = np.minimum(a, 0.0, out=np.empty(a.shape))
+    np.exp(out, out=out)
+    den = np.abs(a, out=np.empty(a.shape))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out /= den
+    return out[()]
 
 
 def split_params(theta: np.ndarray, shape: NetworkShape):
@@ -158,15 +173,24 @@ def init_params(shape: NetworkShape, kind: str = "uniform", seed: int = 0) -> np
     return theta
 
 
-def _hidden(theta, shape: NetworkShape, X):
-    """The hidden-layer pass: (X as floats, w, S = sigmoid(X V^T + u)) and
-    the network outputs S w + w0."""
+def _inputs(X, shape: NetworkShape) -> np.ndarray:
+    """The inputs as floats, checked to be (m, d)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != shape.d:
         raise ValueError(f"inputs have shape {X.shape}, expected (m, {shape.d})")
+    return X
+
+
+def _hidden(theta, shape: NetworkShape, X: np.ndarray):
+    """The hidden-layer pass on checked float inputs X: w, S = sigmoid(X V^T
+    + u) and the network outputs S w + w0, in an array of their own."""
     w, V, u, w0 = split_params(theta, shape)
-    S = sigmoid(X @ V.mT + u[..., None, :])
-    return (X, w, S), (S @ w[..., None])[..., 0] + w0[..., None]
+    A = X @ V.mT
+    A += u[..., None, :]
+    S = sigmoid(A)
+    outputs = (S @ w[..., None])[..., 0]
+    outputs += w0[..., None]
+    return w, S, outputs
 
 
 def _input_gram(X) -> np.ndarray:
@@ -180,16 +204,17 @@ def _input_gram(X) -> np.ndarray:
 def predict(theta: np.ndarray, shape: NetworkShape, X: np.ndarray) -> np.ndarray:
     """Network outputs sum_i w_i * sigmoid(v_i . x + u_i) + w0, one per input
     row; (P, m) for stacked parameters."""
-    return _hidden(theta, shape, X)[1]
+    return _hidden(theta, shape, _inputs(X, shape))[2]
 
 
-def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
-               targets: np.ndarray, loss: LossKind,
-               input_gram: np.ndarray | None = None) -> ResidualEval:
-    """Residual map from one hidden-layer pass, of one parameter vector or
-    of a (P, n) stack of them. `input_gram` is
-    [X | 1][X | 1]^T of these inputs, for a caller that evaluates them many
-    times; ResidualEval.gram forms it otherwise.
+def evaluator(shape: NetworkShape, inputs: np.ndarray, targets: np.ndarray,
+              loss: LossKind, input_gram: np.ndarray | None = None):
+    """The residual map of one data set, as evaluate(theta) -> ResidualEval
+    for one parameter vector or a (P, n) stack of them. The inputs, the
+    targets and the hinge labels are checked here, once; each evaluation
+    checks only theta's shape and runs one hidden-layer pass. `input_gram`
+    is [X | 1][X | 1]^T of these inputs, for a caller that evaluates them
+    many times; ResidualEval.gram forms it otherwise.
 
     Quadratic/Absolute: F_i = f(x_i) - y_i. Hinge: F_i = y_i * f(x_i) with
     labels restricted to {-1, +1}; the label also scales the Jacobian row.
@@ -202,7 +227,22 @@ def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
     hinge = loss is LossKind.HINGE
     if hinge and not np.all(np.abs(targets) == 1.0):
         raise ValueError("hinge targets must be in {-1, +1}")
-    (X, w, S), preds = _hidden(theta, shape, inputs)
-    F = targets * preds if hinge else preds - targets
-    return ResidualEval(F=F, X=X, w=w, S=S, sign=targets if hinge else None,
-                        input_gram=input_gram)
+    X = _inputs(inputs, shape)
+    sign = targets if hinge else None
+
+    def evaluate(theta) -> ResidualEval:
+        w, S, F = _hidden(theta, shape, X)
+        if hinge:
+            F *= targets
+        else:
+            F -= targets
+        return ResidualEval(F=F, X=X, w=w, S=S, sign=sign, input_gram=input_gram)
+    return evaluate
+
+
+def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
+               targets: np.ndarray, loss: LossKind,
+               input_gram: np.ndarray | None = None) -> ResidualEval:
+    """Residual map from one hidden-layer pass, of one parameter vector or
+    of a (P, n) stack of them: the evaluator of these data applied once."""
+    return evaluator(shape, inputs, targets, loss, input_gram)(theta)

@@ -180,9 +180,9 @@ CSV_WRITERS = ("writer", "DictWriter", "savetxt")
 CSV_READERS = ("reader", "DictReader", "loadtxt", "genfromtxt")
 
 
-def _csv_calls(path: Path, names: tuple) -> list:
-    """(file, enclosing function) of each call in a file of a csv-module or
-    numpy function named in names, however imported."""
+def _named_calls(path: Path, names: tuple) -> list:
+    """(file, enclosing function) of each call in a file of a function
+    named in names, however imported."""
     found = []
 
     def visit(node, function):
@@ -206,10 +206,20 @@ def test_one_csv_writer():
     # second writer would have to copy its number format and line ends by
     # hand. The one file signet reads is the one it ships.
     files = sorted((ROOT / "src" / "signet").glob("*.py"))
-    calls = {kind: [call for path in files for call in _csv_calls(path, names)]
+    calls = {kind: [call for path in files for call in _named_calls(path, names)]
              for kind, names in (("writer", CSV_WRITERS), ("reader", CSV_READERS))}
     assert calls == {"writer": [("data.py", "write_csv")],
                      "reader": [("data.py", "load_digits_csv")]}
+
+
+def test_one_hidden_layer_pass():
+    # The hidden-layer pass, and J^T r formed from it, live in model.py: a
+    # module that called sigmoid or split_params would hold a second copy
+    # of the pass, which a speed change could let drift from the first.
+    files = sorted((ROOT / "src" / "signet").glob("*.py"))
+    calls = {call for path in files
+             for call in _named_calls(path, ("sigmoid", "split_params"))}
+    assert calls == {("model.py", "_hidden")}
 
 
 def _is_exception_name(name: str) -> bool:

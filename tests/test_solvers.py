@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -130,9 +129,8 @@ class TestBacktrack:
         y = rng.normal(size=8)
         theta = rng.uniform(-0.5, 0.5, shape.n)
         # the fit's evaluator, as _fit binds it
-        evaluate = functools.partial(inner_eval, shape=shape, inputs=X, targets=y,
-                                     loss=LossKind.QUADRATIC,
-                                     input_gram=model_mod._input_gram(X))
+        evaluate = model_mod.evaluator(shape, X, y, LossKind.QUADRATIC,
+                                       model_mod._input_gram(X))
         return shape, X, y, theta, evaluate(theta), evaluate
 
     @staticmethod
@@ -269,6 +267,17 @@ class TestGlpa:
         assert np.array_equal(rep.theta_star, theta0)
         assert rep.final_objective == rep.trace[0].objective
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fit", [lpa_fit, glpa_fit])
+    def test_overflowing_objective_raises_the_fits_error(self, fit):
+        # finite residuals near 1e160 whose squares overflow: the fit's own
+        # FloatingPointError, not numpy's overflow warning
+        train, _ = make_franke_datasets()
+        shape = NetworkShape(d=2, q=4)
+        with pytest.raises(FloatingPointError, match="non-finite objective"):
+            fit(train.inputs, train.targets * 1e160, shape, LossKind.QUADRATIC,
+                SolverConfig(max_outer=3), init_params(shape, "uniform", 0))
+
     @pytest.mark.parametrize("fit,loss", [(lpa_fit, LossKind.QUADRATIC),
                                           (glpa_fit, LossKind.QUADRATIC),
                                           (glpa_fit, LossKind.HINGE)])
@@ -294,19 +303,25 @@ class TestGlpa:
     def test_each_point_evaluated_once(self, rng, monkeypatch, fit, loss):
         # GLPA's accepted trial is the next iterate's evaluation, and LPA
         # evaluates each point after its step: one evaluation per point
-        grams, trials = [], []
-        real_eval, real_backtrack = solvers_mod.inner_eval, solvers_mod.backtrack
+        points, grams, trials = [], [], []
+        real_evaluator, real_backtrack = solvers_mod.evaluator, solvers_mod.backtrack
 
-        def recording_eval(*args, **kwargs):
-            grams.append(kwargs.get("input_gram"))
-            return real_eval(*args, **kwargs)
+        def recording_evaluator(*args, **kwargs):
+            evaluate = real_evaluator(*args, **kwargs)
+
+            def recording_eval(theta):
+                points.append(theta)
+                ev = evaluate(theta)
+                grams.append(ev.input_gram)
+                return ev
+            return recording_eval
 
         def recording_backtrack(*args, **kwargs):
             result = real_backtrack(*args, **kwargs)
             trials.append(result[1])
             return result
 
-        monkeypatch.setattr(solvers_mod, "inner_eval", recording_eval)
+        monkeypatch.setattr(solvers_mod, "evaluator", recording_evaluator)
         monkeypatch.setattr(solvers_mod, "backtrack", recording_backtrack)
         shape = NetworkShape(d=2, q=3)
         X = rng.uniform(0, 1, (10, 2))
@@ -315,7 +330,7 @@ class TestGlpa:
         rep = fit(X, y, shape, loss, SolverConfig(t=100.0, max_outer=15),
                   rng.uniform(-0.5, 0.5, shape.n))
         assert len(rep.trace) > 1
-        assert len(grams) == 1 + (sum(trials) if fit is glpa_fit else len(rep.trace))
+        assert len(points) == 1 + (sum(trials) if fit is glpa_fit else len(rep.trace))
         # every evaluation, trials included, carries the fit's one input Gram
         assert grams[0] is not None and all(g is grams[0] for g in grams)
 
@@ -520,6 +535,33 @@ class TestBaselines:
         # the rows of one iteration share one clock
         assert all(a.elapsed_s == b.elapsed_s == c.elapsed_s
                    for a, b, c in zip(*(rep.trace for rep in reports)))
+
+    @pytest.mark.parametrize("task,loss,q,iters", [
+        ("digits", LossKind.HINGE, 4, 50),
+        ("franke", LossKind.QUADRATIC, 72, 20),
+        ("franke", LossKind.ABSOLUTE, 72, 20),
+    ], ids=["digits-0-1-hinge", "franke-quadratic", "franke-absolute"])
+    def test_lockstep_rows_equal_solo_runs_at_benchmark_shapes(self, task, loss, q,
+                                                               iters):
+        # the shapes `signet compare` runs (pair 0-1: d = 64, m = 252;
+        # Franke: d = 2, m = 289), where BLAS may take other paths than on
+        # small problems; default lr and momentum
+        if task == "digits":
+            train, _ = make_binary_task(load_digits_csv(), 0, 1, seed=0,
+                                        normalize=True)
+        else:
+            train, _ = make_franke_datasets()
+        X, y = train.inputs, train.targets
+        shape = NetworkShape(d=X.shape[1], q=q)
+        theta0 = init_params(shape, "uniform", 0)
+        reports = baseline_fit(X, y, shape, loss, theta0, iters=iters)
+        for name, rep in zip(BASELINES, reports):
+            theta, rows, final = reference_baseline(name, X, y, shape, loss, theta0,
+                                                    lr=1e-3, momentum=0.9,
+                                                    iters=iters)
+            assert np.array_equal(rep.theta_star, theta), name
+            assert [(r.k, r.objective, r.step_norm) for r in rep.trace] == rows, name
+            assert rep.final_objective == final, name
 
     def test_overflowing_steps_give_infinite_step_norms(self):
         # at lr = 1e160 each step's squared norm overflows: the norm is inf,
