@@ -175,7 +175,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind, theta0,
     thetas = np.tile(_start_point(theta0, shape), (len(BASELINES), 1))
     # SGDM's velocity, RMSProp's square average and velocity, Adam's moments
     sgdm_vel, rms_sq, rms_vel, adam_m, adam_v = np.zeros((5, shape.n))
-    # the three iterates' steps, in BASELINES order
+    # the three steps, in BASELINES order
     steps = np.empty_like(thetas)
     sgdm_step, rms_step, adam_step = steps
     eps = 1e-8
@@ -186,25 +186,19 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind, theta0,
         for k in range(iters):
             ev = evaluate(thetas)
             g_sgdm, g_rms, g_adam = ev.jtr(outer_gradient(ev.F, loss))
-            # each update in place, its operations in the order of the
-            # out-of-place rule in the comment above it
-            # sgdm_vel = momentum * sgdm_vel + g_sgdm
+            # each rule in place, the operations of its out-of-place form
+            # (the tests' reference_baseline) in the same order
             sgdm_vel *= momentum
             sgdm_vel += g_sgdm
             np.multiply(-lr, sgdm_vel, out=sgdm_step)
             # square-average smoothing fixed at 0.99; `momentum` drives the
-            # heavy-ball buffer on the preconditioned gradient:
-            # rms_sq = 0.99 * rms_sq + 0.01 * g_rms * g_rms
-            # rms_vel = momentum * rms_vel + g_rms / (np.sqrt(rms_sq) + eps)
+            # heavy-ball buffer on the preconditioned gradient
             rms_sq *= 0.99
             rms_sq += 0.01 * g_rms * g_rms
             rms_vel *= momentum
             rms_vel += g_rms / (np.sqrt(rms_sq) + eps)
             np.multiply(-lr, rms_vel, out=rms_step)
-            # adam_m = 0.9 * adam_m + 0.1 * g_adam
-            # adam_v = 0.999 * adam_v + 0.001 * g_adam * g_adam
-            # step = -lr * mhat / (np.sqrt(vhat) + eps), mhat and vhat the
-            # bias-corrected moments
+            # -lr * mhat / (sqrt(vhat) + eps), mhat and vhat bias-corrected
             adam_m *= 0.9
             adam_m += 0.1 * g_adam
             adam_v *= 0.999
