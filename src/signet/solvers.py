@@ -110,7 +110,7 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
     evaluate = evaluator(shape, inputs, targets, loss, _input_gram(inputs))
     ev = evaluate(theta)
     for k in range(cfg.max_outer):
-        # an overflowing objective or step norm is inf here, not a warning
+        # an overflowing objective is inf here, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             obj = outer_value(ev.F, loss)
         if not np.isfinite(obj):
