@@ -9,8 +9,10 @@ scripts use no private (`_`-prefixed) name of a signet module, every
 flag is passed by one or by a README command, and no
 library module, script or test file imports a name it never uses. One
 function, `data.write_csv`, writes every CSV file, and the package reads
-one, its bundled digits file. The package defines no exception class: bad
-input raises the built-in errors, which is all a caller catches. The
+one, its bundled digits file. Only `model._hidden` calls `sigmoid` or
+`split_params`, so the hidden-layer pass has one copy. The package
+defines no exception class: bad input raises the built-in errors, which
+is all a caller catches. The
 declared numpy floor covers the numpy API the package uses, and the
 package imports no scipy module: numpy is its one dependency."""
 
