@@ -1,6 +1,6 @@
 """Three-layer sigmoid network: predictions, the per-sample residual map F
-with its Jacobian J, and the products J J^T and J^T r, all from one
-hidden-layer pass.
+with its objective L(F) and Jacobian J, and the products J J^T and J^T r,
+all from one hidden-layer pass.
 
 Parameter layout is fixed as [w (q) | v (q*d, neuron-major) | u (q) | w0],
 so a parameter vector is a flat float array of length (d+2)*q + 1. A
@@ -12,12 +12,14 @@ calls the same BLAS kernel on each 2-D slice).
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import syrk
-from .losses import LossKind
+from .losses import LossKind, outer_values
 
 
 @dataclass(frozen=True)
@@ -38,19 +40,20 @@ class NetworkShape:
 
 @dataclass(frozen=True)
 class ResidualEval:
-    """Residual vector F (length m, or (P, m) for stacked parameters) of one
-    hidden-layer pass, kept with the pass: inputs X, output weights w,
-    activations S = sigmoid(X V^T + u), the row signs (the hinge labels, or
-    None) and the input Gram [X | 1][X | 1]^T (or None, and gram forms it).
-    From these, gram and jtr form alpha J J^T and J^T r without the
-    Jacobian J, and jacobian builds J."""
+    """Residual vector F (length m, or (P, m) stacked) of one hidden-layer
+    pass and its objective L(F) (a float, or a list of P), kept with the
+    pass: inputs X, output weights w, activations S = sigmoid(X V^T + u),
+    the row signs (hinge labels, or None) and input_gram, which returns
+    the data set's [X | 1][X | 1]^T. From these, gram and jtr form alpha
+    J J^T and J^T r without the Jacobian J, and jacobian builds J."""
 
     F: np.ndarray
+    objective: float | list[float]
     X: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     S: np.ndarray = field(repr=False)
     sign: np.ndarray | None = field(repr=False)
-    input_gram: np.ndarray | None = field(repr=False)
+    input_gram: Callable[[], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.F).all():
@@ -70,7 +73,7 @@ class ResidualEval:
         S^ = [S | 1], both S^ and A with rows scaled by s: O(m^2 q), not
         O(m^2 n). One m x m allocation; syrk adds S^ S^T in place."""
         S, sign = self.S, self.sign
-        G = _input_gram(self.X) if self.input_gram is None else self.input_gram
+        G = self.input_gram()
         m, q = S.shape
         A = 1.0 - S
         A *= S
@@ -195,7 +198,7 @@ def _hidden(theta, shape: NetworkShape, X: np.ndarray):
 
 def _input_gram(X) -> np.ndarray:
     """X^ X^T with X^ = [X | 1] (m x m, exactly symmetric): the factor of
-    J J^T that depends on the inputs alone, so a fit forms it once."""
+    J J^T that depends on the inputs alone, so an evaluator forms it once."""
     G = X @ X.T     # syrk
     G += 1.0
     return G
@@ -208,41 +211,46 @@ def predict(theta: np.ndarray, shape: NetworkShape, X: np.ndarray) -> np.ndarray
 
 
 def evaluator(shape: NetworkShape, inputs: np.ndarray, targets: np.ndarray,
-              loss: LossKind, input_gram: np.ndarray | None = None):
-    """The residual map of one data set, as evaluate(theta) -> ResidualEval
-    for one parameter vector or a (P, n) stack of them. The inputs, the
-    targets and the hinge labels are checked here, once; each evaluation
-    checks only theta's shape and runs one hidden-layer pass. `input_gram`
-    is [X | 1][X | 1]^T of these inputs, for a caller that evaluates them
-    many times; ResidualEval.gram forms it otherwise.
+              loss: LossKind):
+    """The composite objective E(theta) = L(F(theta)) of one data set, as
+    evaluate(theta) -> ResidualEval for one parameter vector or a (P, n)
+    stack of them. The inputs, the targets and the hinge labels are checked
+    here, once, and the input Gram is formed at most once, when an
+    evaluation's gram first needs it. Each evaluation checks theta's shape,
+    runs one hidden-layer pass and reduces F to its objective, under one
+    overflow guard: a non-finite F raises FloatingPointError, and a finite
+    F whose objective overflows has objective inf, with no warning.
 
     Quadratic/Absolute: F_i = f(x_i) - y_i. Hinge: F_i = y_i * f(x_i) with
     labels restricted to {-1, +1}; the label also scales the Jacobian row.
     """
+    X = _inputs(inputs, shape)
     targets = np.asarray(targets, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    if targets.shape != (inputs.shape[0],):
+    if targets.shape != (X.shape[0],):
         raise ValueError(
-            f"targets have shape {targets.shape}, expected ({inputs.shape[0]},)")
+            f"targets have shape {targets.shape}, expected ({X.shape[0]},)")
+    if X.shape[0] == 0:
+        raise ValueError("empty data set: no input rows")
     hinge = loss is LossKind.HINGE
     if hinge and not np.all(np.abs(targets) == 1.0):
         raise ValueError("hinge targets must be in {-1, +1}")
-    X = _inputs(inputs, shape)
     sign = targets if hinge else None
+    input_gram = functools.cache(functools.partial(_input_gram, X))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(theta) -> ResidualEval:
         w, S, F = _hidden(theta, shape, X)
         if hinge:
             F *= targets
         else:
             F -= targets
-        return ResidualEval(F=F, X=X, w=w, S=S, sign=sign, input_gram=input_gram)
+        return ResidualEval(F, outer_values(F, loss).tolist(), X, w, S, sign,
+                            input_gram)
     return evaluate
 
 
 def inner_eval(theta: np.ndarray, shape: NetworkShape, inputs: np.ndarray,
-               targets: np.ndarray, loss: LossKind,
-               input_gram: np.ndarray | None = None) -> ResidualEval:
-    """Residual map from one hidden-layer pass, of one parameter vector or
-    of a (P, n) stack of them: the evaluator of these data applied once."""
-    return evaluator(shape, inputs, targets, loss, input_gram)(theta)
+               targets: np.ndarray, loss: LossKind) -> ResidualEval:
+    """Residual map and objective of one hidden-layer pass, for one theta or
+    a (P, n) stack of them: the evaluator of these data applied once."""
+    return evaluator(shape, inputs, targets, loss)(theta)

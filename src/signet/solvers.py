@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossKind, outer_gradient, outer_value, outer_values
-from .model import NetworkShape, _input_gram, evaluator, inner_eval
+from .losses import LossKind, outer_gradient
+from .model import NetworkShape, evaluator, inner_eval
 from .subsolvers import AdmmConfig, admm_solve, lm_step
 
 
@@ -57,34 +57,31 @@ class FitReport:
     final_objective: float
 
 
-def backtrack(evaluate, loss: LossKind, theta_k, dtheta_k, obj_k: float,
-              predicted: float):
+def backtrack(evaluate, theta_k, dtheta_k, obj_k: float, predicted: float):
     """Find the largest eta in {1, TAU, TAU^2, ...} (at most MAX_BACKTRACKS
     trials) satisfying the sufficient-decrease rule
 
-        outer(F(theta + eta*d)) - obj_k <= C * eta * predicted,
+        E(theta + eta*d) - obj_k <= C * eta * predicted,
 
-    where F(theta) is evaluate(theta).F, the fit's residual evaluation,
-    obj_k = outer(F(theta)), and predicted = model(d) - obj_k, model(d) the
+    where E(theta) is evaluate(theta).objective, the fit's evaluation,
+    obj_k = E(theta), and predicted = model(d) - obj_k, model(d) the
     subproblem objective at d that the subsolver returns. A non-finite trial
     objective or predicted decrease fails the rule. Returns (eta,
     trial_count, ev), ev the accepted trial's evaluation; if no trial
     satisfies the rule, eta is the last trial's and ev is None.
     """
     eta = 1.0
-    # an overflowing step gives non-finite values here, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for trial in range(1, MAX_BACKTRACKS + 1):
-            try:
-                ev = evaluate(theta_k + eta * dtheta_k)
-                obj = outer_value(ev.F, loss)
-            except FloatingPointError:      # non-finite residuals
-                obj = math.inf
-            if (math.isfinite(obj) and math.isfinite(predicted)
-                    and obj - obj_k <= C * eta * predicted):
-                return eta, trial, ev
-            if trial < MAX_BACKTRACKS:
-                eta *= TAU
+    for trial in range(1, MAX_BACKTRACKS + 1):
+        try:
+            ev = evaluate(theta_k + eta * dtheta_k)
+            obj = ev.objective
+        except FloatingPointError:      # non-finite residuals
+            obj = math.inf
+        if (math.isfinite(obj) and math.isfinite(predicted)
+                and obj - obj_k <= C * eta * predicted):
+            return eta, trial, ev
+        if trial < MAX_BACKTRACKS:
+            eta *= TAU
     return eta, MAX_BACKTRACKS, None
 
 
@@ -100,20 +97,15 @@ def _start_point(theta0, shape: NetworkShape) -> np.ndarray:
 def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig,
          theta0: np.ndarray, line_search: bool) -> FitReport:
     theta = _start_point(theta0, shape)
-    inputs = np.asarray(inputs, dtype=float)
-
     trace: list[IterationRecord] = []
     start = time.perf_counter()
     stop_reason = "max_outer"
-    # every point is evaluated with this Gram of the fixed inputs: the
-    # subsolvers use J only through ev.gram and ev.jtr, formed from it
-    evaluate = evaluator(shape, inputs, targets, loss, _input_gram(inputs))
+    # one evaluator for every point, so their ev.gram share one input Gram
+    evaluate = evaluator(shape, inputs, targets, loss)
     ev = evaluate(theta)
     for k in range(cfg.max_outer):
-        # an overflowing objective is inf here, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            obj = outer_value(ev.F, loss)
-        if not np.isfinite(obj):
+        obj = ev.objective
+        if not math.isfinite(obj):
             raise FloatingPointError(f"non-finite objective at iteration {k}")
         if loss is LossKind.QUADRATIC:
             dtheta, info = lm_step(ev, cfg.t)
@@ -123,7 +115,7 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
             step_norm = float(np.linalg.norm(dtheta))
         converged = step_norm < cfg.step_tol
         if line_search:
-            eta, _, next_ev = backtrack(evaluate, loss, theta, dtheta, obj,
+            eta, _, next_ev = backtrack(evaluate, theta, dtheta, obj,
                                         info.model_value - obj)
         else:
             eta, next_ev = 1.0, evaluate(theta + dtheta)
@@ -135,10 +127,8 @@ def _fit(inputs, targets, shape: NetworkShape, loss: LossKind, cfg: SolverConfig
         if converged or not accepted:
             stop_reason = "step_tol" if converged else "line_search_failed"
             break
-    with np.errstate(over="ignore", invalid="ignore"):
-        final_objective = outer_value(ev.F, loss)
     return FitReport(theta_star=theta, trace=trace, stop_reason=stop_reason,
-                     final_objective=final_objective)
+                     final_objective=ev.objective)
 
 
 def lpa_fit(inputs, targets, shape, loss, cfg: SolverConfig, theta0) -> FitReport:
@@ -181,7 +171,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind, theta0,
     eps = 1e-8
     traces: list[list[IterationRecord]] = [[] for _ in BASELINES]
     start = time.perf_counter()
-    # an overflowing step norm or objective is inf here, not a warning
+    # an overflowing step or step norm is inf here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iters):
             ev = evaluate(thetas)
@@ -208,8 +198,7 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind, theta0,
             elapsed = time.perf_counter() - start
             thetas += steps
             # the 2-norms as np.linalg.norm forms them, without its overhead
-            rows = zip(outer_values(ev.F, loss).tolist(),
-                       np.sqrt(np.vecdot(steps, steps)).tolist())
+            rows = zip(ev.objective, np.sqrt(np.vecdot(steps, steps)).tolist())
             for trace, (objective, step_norm) in zip(traces, rows):
                 trace.append(IterationRecord(k, objective, step_norm, 1.0, 0, elapsed))
         # inner_eval, the evaluator applied once (perfbench's tracer test
@@ -217,5 +206,4 @@ def baseline_fit(inputs, targets, shape: NetworkShape, loss: LossKind, theta0,
         final = inner_eval(thetas, shape, inputs, targets, loss)
         return [FitReport(theta_star=theta, trace=trace, stop_reason="max_outer",
                           final_objective=objective)
-                for theta, trace, objective in zip(
-                    thetas, traces, outer_values(final.F, loss).tolist())]
+                for theta, trace, objective in zip(thetas, traces, final.objective)]

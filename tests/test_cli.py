@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import signet.cli as cli_mod
-import signet.solvers as solvers_mod
+import signet.model as model_mod
 from signet.cli import _setup, _solver_config, build_parser, main
 from signet.data import load_digits_csv, make_binary_task, make_franke_datasets
 from signet.diagnostics import max_error, rms_error
@@ -272,6 +272,21 @@ class TestRun:
         assert not pixels.flags.writeable and not labels.flags.writeable
         assert len(parsed) == 1
 
+    @pytest.mark.parametrize("solver", ["lpa", "glpa"])
+    def test_run_forms_the_input_gram_once(self, tmp_path, monkeypatch, solver):
+        # the fit's evaluator forms it once; the rank evaluation at the
+        # final point builds J and forms none
+        grams = []
+        real_input_gram = model_mod._input_gram
+        monkeypatch.setattr(model_mod, "_input_gram",
+                            lambda X: grams.append(X) or real_input_gram(X))
+        args = build_parser().parse_args([
+            "run", "--task", "franke", "--q", "4", "--max-outer", "3",
+            "--solver", solver, "--out", str(tmp_path)])
+        report, fields = cli_mod.run_summary(args)
+        assert len(report.trace) > 1 and fields["jacobian_rank"] > 0
+        assert len(grams) == 1
+
     def test_reproducible_reruns(self, tmp_path):
         args = ["run", "--task", "franke", "--q", "6", "--max-outer", "5",
                 "--seed", "7"]
@@ -459,15 +474,16 @@ class TestCompare:
     ], ids=["t", "rho", "lr"])
     def test_infinite_step_parameter_rejected(self, tmp_path, capsys, monkeypatch,
                                               flag, argv):
-        # every solver flag is checked before any fit evaluates the network
+        # every solver flag is checked before any fit evaluates the network:
+        # no hidden-layer pass runs, through any evaluator or inner_eval
         evaluations = []
-        real_inner_eval = solvers_mod.inner_eval
+        real_hidden = model_mod._hidden
 
-        def recording_inner_eval(*args, **kwargs):
+        def recording_hidden(*args):
             evaluations.append(args)
-            return real_inner_eval(*args, **kwargs)
+            return real_hidden(*args)
 
-        monkeypatch.setattr(solvers_mod, "inner_eval", recording_inner_eval)
+        monkeypatch.setattr(model_mod, "_hidden", recording_hidden)
         out = tmp_path / "o"
         rc = main(["compare", "--task", "franke", "--q", "4", "--max-outer", "5",
                    "--iters", "5", *argv, f"--{flag}", "inf", "--out", str(out)])

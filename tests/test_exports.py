@@ -4,7 +4,8 @@ defines it: the library modules, the experiment scripts and the benchmark
 harness. A name used only by its own module and the tests stays
 importable from that module, not from `signet`; a product used only by
 the tests belongs to the tests' dense-Jacobian oracles. The experiment
-scripts use no private (`_`-prefixed) name of a signet module, every
+scripts use no private (`_`-prefixed) name of a signet module, nor does a
+library module use one of another signet module, every
 `signet` command is run by a script or a benchmark workload and every
 flag is passed by one or by a README command, and no
 library module, script or test file imports a name it never uses. One
@@ -90,6 +91,35 @@ def test_scripts_use_no_private_signet_name():
     found = {path.name: sorted(_referenced_names(path) & private)
              for path in sorted((ROOT / "scripts").glob("*.py"))}
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def _private_signet_imports(path: Path) -> list:
+    """The `_`-prefixed names a library module imports from another signet
+    module, or reads as an attribute of a signet module it imports."""
+    modules, found = set(), []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "signet"):
+            for alias in node.names:
+                if node.module is None:         # from . import data as data_mod
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno}: {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_library_uses_no_private_name_of_another_module():
+    # a module reaches another only through its public names, so a private
+    # helper has its callers in its own module
+    found = [entry for path in sorted((ROOT / "src" / "signet").glob("*.py"))
+             for entry in _private_signet_imports(path)]
+    assert found == []
 
 
 def _script_commands(path: Path) -> set:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signet.losses import LossKind, outer_gradient
+from signet.losses import LossKind, outer_gradient, outer_value
 from signet.model import (NetworkShape, init_params, inner_eval, predict, sigmoid,
                           split_params)
 
@@ -206,6 +206,33 @@ class TestInnerEval:
                 assert np.linalg.norm(ev.jtr(r) - dense) <= \
                     1e-12 * max(np.linalg.norm(dense), 1e-300)
 
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_objective_is_outer_value_of_f(self, rng, loss):
+        for _ in range(50):
+            shape, theta, X, y, labels = random_instance(rng)
+            targets = labels if loss is LossKind.HINGE else y
+            ev = inner_eval(theta, shape, X, targets, loss)
+            assert type(ev.objective) is float
+            assert ev.objective == outer_value(ev.F, loss)
+
+    def test_overflowing_objective_is_inf(self, rng):
+        # finite residuals near 1e160 whose squares overflow: objective inf,
+        # with no RuntimeWarning (an error under this suite's filter)
+        shape, theta, X, _, _ = random_instance(rng)
+        targets = np.full(X.shape[0], 1e160)
+        ev = inner_eval(theta, shape, X, targets, LossKind.QUADRATIC)
+        assert np.all(np.isfinite(ev.F)) and ev.objective == np.inf
+        assert inner_eval(theta, shape, X, targets, LossKind.ABSOLUTE).objective < np.inf
+        stacked = inner_eval(np.stack([theta, theta]), shape, X, targets,
+                             LossKind.QUADRATIC)
+        assert stacked.objective == [np.inf, np.inf]
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_empty_data_set_rejected(self, loss):
+        shape = NetworkShape(d=2, q=3)
+        with pytest.raises(ValueError, match="empty data set"):
+            inner_eval(np.zeros(shape.n), shape, np.empty((0, 2)), np.empty(0), loss)
+
     def test_non_finite_residuals_rejected(self):
         shape = NetworkShape(d=1, q=1)
         theta = pack_params([np.inf], [[1.0]], [0.0], 0.0)
@@ -228,9 +255,11 @@ def test_stacked_rows_equal_single_theta(rng, m, d, q, loss):
         ev = inner_eval(thetas, shape, X, targets, loss)
         assert ev.F.shape == (P, m) and ev.m == m
         jtr, preds = ev.jtr(R), predict(thetas, shape, X)
+        assert len(ev.objective) == P
         for p in range(P):
             one = inner_eval(thetas[p], shape, X, targets, loss)
             assert np.array_equal(ev.F[p], one.F)
+            assert type(ev.objective[p]) is float and ev.objective[p] == one.objective
             assert np.array_equal(jtr[p], one.jtr(R[p]))
             assert np.array_equal(preds[p], predict(thetas[p], shape, X))
 

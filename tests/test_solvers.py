@@ -129,15 +129,14 @@ class TestBacktrack:
         y = rng.normal(size=8)
         theta = rng.uniform(-0.5, 0.5, shape.n)
         # the fit's evaluator, as _fit binds it
-        evaluate = model_mod.evaluator(shape, X, y, LossKind.QUADRATIC,
-                                       model_mod._input_gram(X))
+        evaluate = model_mod.evaluator(shape, X, y, LossKind.QUADRATIC)
         return shape, X, y, theta, evaluate(theta), evaluate
 
     @staticmethod
     def _obj_predicted(ev, d, t):
         # the objective, and the oracle's model value at d less it; an
         # overflowing d gives a non-finite value here, not a warning
-        obj = outer_value(ev.F, LossKind.QUADRATIC)
+        obj = ev.objective
         with np.errstate(over="ignore", invalid="ignore"):
             return obj, subproblem_model_value(ev, d, t, LossKind.QUADRATIC) - obj
 
@@ -145,9 +144,8 @@ class TestBacktrack:
         shape, X, y, theta, ev, evaluate = self._setup(rng)
         from signet.subsolvers import lm_step
         d, info = lm_step(ev, 1.0)
-        obj = outer_value(ev.F, LossKind.QUADRATIC)
-        eta, evals, trial_ev = backtrack(evaluate, LossKind.QUADRATIC, theta, d, obj,
-                                         info.model_value - obj)
+        obj = ev.objective
+        eta, evals, trial_ev = backtrack(evaluate, theta, d, obj, info.model_value - obj)
         # small t makes the step conservative, the unit step passes the rule
         assert trial_ev is not None and eta == 1.0 and evals == 1
         assert np.array_equal(trial_ev.F,
@@ -157,15 +155,14 @@ class TestBacktrack:
         shape, X, y, theta, ev, evaluate = self._setup(rng)
         # a deliberately bad huge direction forces shrinking
         d = np.ones(shape.n) * 50.0
-        eta, evals, _ = backtrack(evaluate, LossKind.QUADRATIC, theta, d,
-                                  *self._obj_predicted(ev, d, 1.0))
+        eta, evals, _ = backtrack(evaluate, theta, d, *self._obj_predicted(ev, d, 1.0))
         assert eta == pytest.approx(solvers_mod.TAU ** (evals - 1))
 
     def test_non_finite_trial_shrinks_step(self, rng):
         shape, X, y, theta, ev, evaluate = self._setup(rng)
         from signet.subsolvers import lm_step
         d, info = lm_step(ev, 1.0)
-        obj = outer_value(ev.F, LossKind.QUADRATIC)
+        obj = ev.objective
         calls = {"n": 0}
 
         def first_trial_non_finite(theta_trial):
@@ -175,22 +172,43 @@ class TestBacktrack:
             return evaluate(theta_trial)
 
         # the unit step would pass (test_full_step_accepted_when_rule_holds)
-        eta, evals, trial_ev = backtrack(first_trial_non_finite, LossKind.QUADRATIC,
-                                         theta, d, obj, info.model_value - obj)
+        eta, evals, trial_ev = backtrack(first_trial_non_finite, theta, d, obj,
+                                         info.model_value - obj)
         assert (eta, evals) == (solvers_mod.TAU, 2)
         # the accepted trial's evaluation is returned, bitwise the one at
-        # theta + eta*d, with the caller's input Gram
+        # theta + eta*d, with the evaluator's input Gram
         fresh = inner_eval(theta + eta * d, shape, X, y, LossKind.QUADRATIC)
         assert np.array_equal(trial_ev.F, fresh.F)
         assert trial_ev.input_gram is ev.input_gram
+
+    def test_overflowing_objective_trial_shrinks_step(self, rng):
+        shape, X, y, theta, ev, evaluate = self._setup(rng)
+        from signet.subsolvers import lm_step
+        d, info = lm_step(ev, 1.0)
+        obj = ev.objective
+        # w0 + 1e160: finite residuals near 1e160 whose squares overflow
+        far = np.zeros(shape.n)
+        far[-1] = 1e160
+        far_ev = evaluate(theta + d + far)
+        assert np.all(np.isfinite(far_ev.F)) and far_ev.objective == math.inf
+        calls = {"n": 0}
+
+        def first_trial_overflows(theta_trial):
+            calls["n"] += 1
+            return evaluate(theta_trial + far if calls["n"] == 1 else theta_trial)
+
+        # the unit step would pass (test_full_step_accepted_when_rule_holds)
+        eta, evals, trial_ev = backtrack(first_trial_overflows, theta, d, obj,
+                                         info.model_value - obj)
+        assert (eta, evals) == (solvers_mod.TAU, 2)
+        assert np.array_equal(trial_ev.F, evaluate(theta + eta * d).F)
 
     def test_all_trials_non_finite(self, rng):
         shape, X, y, theta, ev, evaluate = self._setup(rng)
         d = np.full(shape.n, 1e308)
         # rejected: the last trial's eta, which the fit does not take, and
         # no evaluation
-        assert backtrack(evaluate, LossKind.QUADRATIC, theta, d,
-                         *self._obj_predicted(ev, d, 1.0)) == \
+        assert backtrack(evaluate, theta, d, *self._obj_predicted(ev, d, 1.0)) == \
             (solvers_mod.TAU ** (solvers_mod.MAX_BACKTRACKS - 1),
              solvers_mod.MAX_BACKTRACKS, None)
 
@@ -229,7 +247,7 @@ class TestGlpa:
 
     @pytest.mark.parametrize("accepted", [True, False])
     def test_last_step_taken_only_if_accepted(self, rng, monkeypatch, accepted):
-        def half_step(evaluate, loss, theta, d, obj, predicted):
+        def half_step(evaluate, theta, d, obj, predicted):
             trial_ev = evaluate(theta + 0.5 * d)
             return 0.5, 2, trial_ev if accepted else None
 
@@ -283,9 +301,9 @@ class TestGlpa:
                                           (glpa_fit, LossKind.HINGE)])
     def test_fit_builds_no_jacobian(self, rng, monkeypatch, fit, loss):
         # the subproblems use J J^T and J^T z from the hidden-layer pass,
-        # with the inputs' Gram formed once per fit
+        # with the inputs' Gram formed once per fit, by its evaluator
         builds = _count_jacobians(monkeypatch)
-        grams = _count_calls(monkeypatch, "_input_gram", solvers_mod)
+        grams = _count_calls(monkeypatch, "_input_gram")
         shape = NetworkShape(d=2, q=3)
         X = rng.uniform(0, 1, (10, 2))
         y = rng.choice([-1.0, 1.0], size=10) if loss is LossKind.HINGE \
@@ -505,14 +523,16 @@ class TestBaselines:
 
     @pytest.mark.parametrize("name", ["sgdm", "rmsprop", "adam"])
     def test_no_jacobian_built(self, rng, monkeypatch, name):
+        # nor the input Gram, which only the subproblems' J J^T needs
         builds = _count_jacobians(monkeypatch)
+        grams = _count_calls(monkeypatch, "_input_gram")
         shape = NetworkShape(d=2, q=2)
         X = rng.uniform(0, 1, (10, 2))
         rep = baseline_fit(X, rng.choice([-1.0, 1.0], size=10), shape,
                            LossKind.HINGE, rng.uniform(-0.5, 0.5, shape.n),
                            iters=20)[BASELINES.index(name)]
         assert len(rep.trace) == 20
-        assert builds["n"] == 0
+        assert builds["n"] == grams["n"] == 0
 
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_lockstep_rows_equal_solo_runs(self, rng, loss):
@@ -602,3 +622,18 @@ class TestBaselines:
         with pytest.raises(ValueError, match="lr=inf"):
             baseline_fit(X, y, shape, LossKind.QUADRATIC, np.zeros(shape.n),
                          lr=float("inf"))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y, shape, theta0: lpa_fit(X, y, shape, LossKind.QUADRATIC,
+                                        SolverConfig(), theta0),
+    lambda X, y, shape, theta0: glpa_fit(X, y, shape, LossKind.QUADRATIC,
+                                         SolverConfig(), theta0),
+    lambda X, y, shape, theta0: baseline_fit(X, y, shape, LossKind.QUADRATIC,
+                                             theta0, iters=3),
+], ids=["lpa", "glpa", "baselines"])
+def test_empty_data_set_rejected(fit):
+    # no objective is a mean over zero residuals
+    shape = NetworkShape(d=2, q=3)
+    with pytest.raises(ValueError, match="empty data set"):
+        fit(np.empty((0, 2)), np.empty(0), shape, np.zeros(shape.n))
